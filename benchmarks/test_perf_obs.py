@@ -10,17 +10,15 @@ acceptance bar for the whole obs layer -- and contributes the
 (``BENCH_BASELINE.json`` via ``benchmarks/compare_bench.py``).
 """
 
-import time
-
 from repro.iscas.loader import load_benchmark
 from repro.protocol.report import format_table
 from repro.timing.incremental import IncrementalSta
 from repro.timing.sta import trace_critical_gates
 
-from conftest import emit
+from conftest import emit, paired_overhead
 
-#: Interleaved measurement rounds; min-of-rounds defeats transient noise.
-ROUNDS = 7
+#: Paired measurement rounds (see ``conftest.paired_overhead``).
+ROUNDS = 15
 
 #: Edits per round, enough to amortise the clock reads.
 EDITS_PER_ROUND = 60
@@ -52,25 +50,13 @@ def test_disabled_tracer_overhead_under_gate(lib):
     engine = IncrementalSta(circuit, lib)
     assert engine.tracer is None  # the disabled path under test
     edit = _edit_closure(circuit, engine)
-
-    wrapped = []
-    core = []
-    for _ in range(ROUNDS):
-        # Interleave A and B inside every round so drift (thermal,
-        # competing load) hits both arms equally.
-        start = time.perf_counter()
-        for _ in range(EDITS_PER_ROUND):
-            edit(engine.update)
-        wrapped.append(time.perf_counter() - start)
-
-        start = time.perf_counter()
-        for _ in range(EDITS_PER_ROUND):
-            edit(engine._update_core)
-        core.append(time.perf_counter() - start)
-
-    best_wrapped = min(wrapped)
-    best_core = min(core)
-    overhead = best_wrapped / (best_core + EPSILON_S) - 1.0
+    overhead, best_wrapped, best_core = paired_overhead(
+        lambda: edit(engine.update),
+        lambda: edit(engine._update_core),
+        ROUNDS,
+        EDITS_PER_ROUND,
+        EPSILON_S,
+    )
     body = format_table(
         ("entry point", "best round (ms)", "per edit (us)"),
         [

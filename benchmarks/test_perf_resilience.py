@@ -12,18 +12,16 @@ whole resilience layer -- and contributes the
 (``BENCH_BASELINE.json`` via ``benchmarks/compare_bench.py``).
 """
 
-import time
-
 from repro.api.job import Job
 from repro.api.session import Session
 from repro.protocol.report import format_table
 from repro.resilience import faults
 from repro.serve.scheduler import JobExecutor
 
-from conftest import emit
+from conftest import emit, paired_overhead
 
-#: Interleaved measurement rounds; min-of-rounds defeats transient noise.
-ROUNDS = 7
+#: Paired measurement rounds (see ``conftest.paired_overhead``).
+ROUNDS = 15
 
 #: Jobs per round, enough to amortise the clock reads.
 JOBS_PER_ROUND = 40
@@ -55,26 +53,11 @@ def _arms(lib):
 def test_nofault_resilience_overhead_under_gate(lib):
     assert faults.active() is None  # the disabled path under test
     executor, wrapped_fn, core_fn = _arms(lib)
-
-    wrapped = []
-    core = []
-    for _ in range(ROUNDS):
-        # Interleave A and B inside every round so drift (thermal,
-        # competing load) hits both arms equally.
-        start = time.perf_counter()
-        for _ in range(JOBS_PER_ROUND):
-            wrapped_fn()
-        wrapped.append(time.perf_counter() - start)
-
-        start = time.perf_counter()
-        for _ in range(JOBS_PER_ROUND):
-            core_fn()
-        core.append(time.perf_counter() - start)
+    overhead, best_wrapped, best_core = paired_overhead(
+        wrapped_fn, core_fn, ROUNDS, JOBS_PER_ROUND, EPSILON_S
+    )
     executor.shutdown()
 
-    best_wrapped = min(wrapped)
-    best_core = min(core)
-    overhead = best_wrapped / (best_core + EPSILON_S) - 1.0
     body = format_table(
         ("entry point", "best round (ms)", "per job (us)"),
         [

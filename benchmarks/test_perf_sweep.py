@@ -25,6 +25,10 @@ from conftest import emit
 SWEEP_BENCH = "c432"
 SWEEP_RATIOS = tuple(round(1.05 + 0.05 * i, 4) for i in range(20))
 
+#: Alternated cold/warm rounds; the best round of each side is compared,
+#: so a slow spell of the host that hits one round cannot decide the bar.
+ROUNDS = 3
+
 
 def _payload_bytes(record) -> bytes:
     return json.dumps(
@@ -43,18 +47,23 @@ def test_warm_sweep_2x_faster_and_byte_identical(lib, limits):
 
     # Cold: 20 independent jobs, each in its own fresh session (the
     # library object is shared, so characterisation -- already paid by
-    # the fixture -- is excluded from both sides).
-    start = time.perf_counter()
-    cold = [Session(library=lib).optimize(job) for job in jobs]
-    t_cold = time.perf_counter() - start
+    # the fixture -- is excluded from both sides).  Warm: one campaign
+    # through one session.  Rounds alternate the two.
+    cold_times = []
+    warm_times = []
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        cold = [Session(library=lib).optimize(job) for job in jobs]
+        cold_times.append(time.perf_counter() - start)
 
-    # Warm: one campaign through one session.
-    start = time.perf_counter()
-    warm = run_sweep(Session(library=lib), spec, with_power=False)
-    t_warm = time.perf_counter() - start
+        start = time.perf_counter()
+        warm = run_sweep(Session(library=lib), spec, with_power=False)
+        warm_times.append(time.perf_counter() - start)
 
-    for a, b in zip(warm.records, cold):
-        assert _payload_bytes(a) == _payload_bytes(b)
+        for a, b in zip(warm.records, cold):
+            assert _payload_bytes(a) == _payload_bytes(b)
+    t_cold = min(cold_times)
+    t_warm = min(warm_times)
 
     speedup = t_cold / t_warm
     rows = [
@@ -63,7 +72,7 @@ def test_warm_sweep_2x_faster_and_byte_identical(lib, limits):
     ]
     emit(
         f"Tc sweep -- 20 points on {SWEEP_BENCH}, warm vs cold "
-        "(byte-identical payloads)",
+        f"(best of {ROUNDS} alternated rounds, byte-identical payloads)",
         format_table(("mode", "wall (s)", "speedup"), rows),
     )
     assert speedup >= 2.0, f"warm sweep only {speedup:.2f}x faster"

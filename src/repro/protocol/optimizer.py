@@ -309,11 +309,15 @@ class WarmStart:
       at its own working copy and re-times only the diff (sizes the
       neighbour moved, structure it added), not the whole circuit.
     * ``bounds_memo`` -- eq. 4 fixed-point solves
-      (:func:`~repro.sizing.bounds.min_delay_bound`) keyed by path
-      fingerprint; constraint points work on largely identical candidate
-      paths, and a path's ``Tmin`` does not depend on ``Tc``.  Activated
-      around the whole run via :func:`~repro.sizing.bounds.tmin_memo`,
-      so the sizing/buffering/restructuring layers all share it.
+      (:func:`~repro.sizing.bounds.min_delay_bound`) keyed by library
+      and path fingerprint; constraint points work on largely identical
+      candidate paths, and a path's ``Tmin`` does not depend on ``Tc``.
+      Activated around the whole run via
+      :func:`~repro.sizing.bounds.tmin_memo`, so the
+      sizing/buffering/restructuring layers all share it.  The
+      activation is a context variable: it is visible only to the thread
+      (or asyncio task) running this call, so concurrent runs in one
+      process each see their own memo.
     * ``extraction_memo`` -- K-critical-path extractions keyed by exact
       circuit state; every sweep point starts from the same netlist
       state, so the first pass's extraction is shared verbatim.
@@ -327,8 +331,9 @@ class WarmStart:
     A warm start is **bound to one library**: the first
     :func:`optimize_circuit` call pins ``library``, and later calls with
     a different one are rejected -- the memos' values embed that
-    library's characterisation, and holding the reference also pins the
-    ``id(library)`` component of the eq. 4 memo keys against id reuse.
+    library's characterisation, and the extraction memo's keys do not
+    name the library (the eq. 4 memo's keys carry
+    :meth:`~repro.cells.library.Library.fingerprint`).
     """
 
     engine: Optional[IncrementalSta] = None

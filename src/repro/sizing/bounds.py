@@ -20,17 +20,21 @@ regenerate Fig. 1.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cells.library import Library
 from repro.timing.delay_model import Edge, GateTiming
 from repro.timing.evaluation import (
-    delay_gradient,
-    effective_a_coeffs,
+    _a_coeffs,
+    _constants,
+    _sized_delay,
+    _sized_gradient,
     path_area_um,
     path_delay_ps,
 )
@@ -78,16 +82,22 @@ class DelayBounds:
         return tc_ps >= self.tmin_ps
 
 
-#: The active sweep-scoped ``Tmin`` memo (``None`` outside a sweep).
-#: :func:`min_delay_bound` is a pure function of ``(path, library)`` for
-#: default solver arguments, yet a Tc-sweep re-runs it on largely
-#: identical candidate paths at every constraint point -- by far the
-#: protocol's hottest pure computation.  The memo is *opt-in and scoped*:
-#: the circuit driver activates a :class:`~repro.protocol.optimizer`
-#: warm-start's dict around one optimization and deactivates it after,
-#: so independent (cold) jobs never share state, and values served from
-#: the memo are exactly the tuples a fresh solve would produce.
-_ACTIVE_TMIN_MEMO: Optional[Dict[Tuple, Tuple]] = None
+#: The ``Tmin`` memo active in the current context (``None`` outside a
+#: warm run).  :func:`min_delay_bound` is a pure function of ``(path,
+#: library)`` for default solver arguments, yet a Tc-sweep re-runs it on
+#: largely identical candidate paths at every constraint point -- by far
+#: the protocol's hottest pure computation.  The memo is *opt-in and
+#: scoped*: the circuit optimizer activates a
+#: :class:`~repro.protocol.optimizer.WarmStart`'s dict around one
+#: optimization and deactivates it after, so independent (cold) jobs
+#: never share state, and values served from the memo are exactly the
+#: tuples a fresh solve would produce.  A context variable, not a module
+#: global: each thread (and asyncio task) sees only the memo it
+#: activated, so concurrent jobs on one Session cannot swap or leak each
+#: other's memo.
+_ACTIVE_TMIN_MEMO: ContextVar[Optional[Dict[Tuple, Tuple]]] = ContextVar(
+    "tmin_memo", default=None
+)
 
 #: :func:`min_delay_bound` solver defaults -- referenced by both the
 #: signature and the memo-eligibility gate, so tuning one cannot
@@ -100,13 +110,11 @@ _DEFAULT_TOL_PS = 1e-6
 @contextmanager
 def tmin_memo(memo: Optional[Dict[Tuple, Tuple]]) -> Iterator[None]:
     """Activate a sweep's ``Tmin`` memo for the enclosed computation."""
-    global _ACTIVE_TMIN_MEMO
-    previous = _ACTIVE_TMIN_MEMO
-    _ACTIVE_TMIN_MEMO = memo
+    token = _ACTIVE_TMIN_MEMO.set(memo)
     try:
         yield
     finally:
-        _ACTIVE_TMIN_MEMO = previous
+        _ACTIVE_TMIN_MEMO.reset(token)
 
 
 def max_delay_bound(path: BoundedPath, library: Library) -> Tuple[float, np.ndarray]:
@@ -115,14 +123,27 @@ def max_delay_bound(path: BoundedPath, library: Library) -> Tuple[float, np.ndar
     return path_delay_ps(path, sizes, library), sizes
 
 
+def _min_sizes(path: BoundedPath, library: Library) -> List[float]:
+    """:meth:`BoundedPath.min_sizes` as a float list, from the cached floors."""
+    xs = list(_constants(path, library.tech).floors)
+    xs[0] = path.cin_first_ff
+    return xs
+
+
+def _clamp(path: BoundedPath, xs: Sequence[float], library: Library) -> List[float]:
+    """:meth:`BoundedPath.clamp_sizes` of a float list (same ``max`` ties)."""
+    floors = _constants(path, library.tech).floors
+    return [path.cin_first_ff] + [max(x, f) for x, f in zip(xs[1:], floors[1:])]
+
+
 def _link_equation_sweep(
     path: BoundedPath,
-    sizes: np.ndarray,
+    sizes: List[float],
     library: Library,
     sensitivity: float = 0.0,
-    area_weights: Optional[np.ndarray] = None,
-    frozen: Optional[np.ndarray] = None,
-) -> np.ndarray:
+    area_weights: Optional[Sequence[float]] = None,
+    frozen: Optional[Sequence[bool]] = None,
+) -> List[float]:
     """One Gauss-Seidel sweep of the eq. 4 / eq. 6 link equations.
 
     With ``sensitivity = a = 0`` this is eq. 4 (the Tmin condition); with
@@ -131,6 +152,7 @@ def _link_equation_sweep(
     passing area weights yields the KKT-exact minimum-``sum W`` variant).
     Stages flagged in ``frozen`` keep their current size (used by the
     local buffer-insertion mode, which sizes only the inserted buffers).
+    Takes and returns the sizing as a float list.
 
     Backends without closed-form bounds (NLDM tables) take the numeric
     twin :func:`_numeric_link_sweep`: the same Gauss-Seidel update, but
@@ -138,25 +160,28 @@ def _link_equation_sweep(
     search on the windowed delay derivative instead of eq. 4.
     """
     if not library.delay_backend.capabilities.closed_form_bounds:
-        return _numeric_link_sweep(path, sizes, library, sensitivity, area_weights, frozen)
+        return _numeric_link_sweep(
+            path, np.array(sizes), library, sensitivity, area_weights, frozen
+        ).tolist()
+    k = _constants(path, library.tech)
+    floors = k.floors
+    cside = k.cside
     n = len(path)
-    out = sizes.copy()
-    coeffs = effective_a_coeffs(path, out, library)
+    out = list(sizes)
+    coeffs = _a_coeffs(path, out, library)
     for i in range(1, n):
         if frozen is not None and frozen[i]:
             continue
-        ext_i = path.stages[i].cside_ff + (out[i + 1] if i + 1 < n else path.cterm_ff)
+        ext_i = cside[i] + (out[i + 1] if i + 1 < n else path.cterm_ff)
         w_i = 1.0 if area_weights is None else area_weights[i]
         denominator = coeffs[i - 1] / out[i - 1] - sensitivity * w_i
         if denominator <= 0:
             # Sensitivity more negative than the upstream stage can express:
             # the gate collapses to its minimum drive.
-            out[i] = path.stages[i].cell.cin_min(library.tech)
+            out[i] = floors[i]
             continue
         target_sq = coeffs[i] * ext_i / denominator
-        out[i] = max(
-            np.sqrt(target_sq), path.stages[i].cell.cin_min(library.tech)
-        )
+        out[i] = max(math.sqrt(target_sq), floors[i])
     return out
 
 
@@ -307,27 +332,29 @@ def _numeric_link_sweep(
 
 def _projected_gradient_polish(
     path: BoundedPath,
-    sizes: np.ndarray,
+    sizes: List[float],
     library: Library,
     max_steps: int = 60,
     tol_ps: float = 1e-4,
-    frozen: Optional[np.ndarray] = None,
-) -> np.ndarray:
+    frozen: Optional[Sequence[bool]] = None,
+) -> List[float]:
     """Backtracking projected gradient descent on the exact path delay."""
-    current = path.clamp_sizes(sizes, library)
-    t_current = path_delay_ps(path, current, library)
+    current = _clamp(path, sizes, library)
+    t_current = _sized_delay(path, current, library)
     step = 1.0  # fF^2 / ps scale; adapted by backtracking
     for _ in range(max_steps):
-        grad = delay_gradient(path, current, library)
+        grad = _sized_gradient(path, current, library)
         if frozen is not None:
-            grad = np.where(frozen, 0.0, grad)
+            grad = [0.0 if f else g for f, g in zip(frozen, grad)]
         norm = float(np.linalg.norm(grad))
         if norm < 1e-9:
             break
         improved = False
         while step > 1e-6:
-            candidate = path.clamp_sizes(current - step * grad, library)
-            t_candidate = path_delay_ps(path, candidate, library)
+            candidate = _clamp(
+                path, [c - step * g for c, g in zip(current, grad)], library
+            )
+            t_candidate = _sized_delay(path, candidate, library)
             if t_candidate < t_current - 1e-12:
                 current, t_current = candidate, t_candidate
                 improved = True
@@ -370,7 +397,7 @@ def min_delay_bound(
     # the result is a pure function of (path, library, polish), so the
     # cached tuple is exactly what a fresh solve would return (callers
     # get copies -- the memo's arrays are never handed out mutable).
-    memo = _ACTIVE_TMIN_MEMO
+    memo = _ACTIVE_TMIN_MEMO.get()
     cacheable = (
         memo is not None
         and cref_ff is None
@@ -381,7 +408,7 @@ def min_delay_bound(
     )
     key: Optional[Tuple] = None
     if cacheable and memo is not None:
-        key = (id(library), polish, path.fingerprint())
+        key = (library.fingerprint(), polish, path.fingerprint())
         hit = memo.get(key)
         if hit is not None:
             delay, sizes, history, iterations = hit
@@ -401,37 +428,38 @@ def min_delay_bound(
         tol_ps = max(tol_ps, 1e-5)
 
     if start_sizes is not None:
-        sizes = path.clamp_sizes(start_sizes, library)
+        xs = path.clamp_sizes(start_sizes, library).tolist()
     elif not closed_form:
         # No eq. 4 coefficients to seed from: start the numeric fixed
         # point at the minimum-drive corner.
-        sizes = path.min_sizes(library)
+        xs = _min_sizes(path, library)
     else:
         # Backward initial pass: local eq. 4 solutions with C_IN(i-1) = cref.
-        sizes = path.min_sizes(library)
-        coeffs = effective_a_coeffs(path, sizes, library)
+        xs = _min_sizes(path, library)
+        floors = _constants(path, library.tech).floors
+        coeffs = _a_coeffs(path, xs, library)
         for i in range(n - 1, 0, -1):
             ext_i = path.stages[i].cside_ff + (
-                sizes[i + 1] if i + 1 < n else path.cterm_ff
+                xs[i + 1] if i + 1 < n else path.cterm_ff
             )
             target_sq = (coeffs[i] / coeffs[i - 1]) * cref_ff * ext_i
-            sizes[i] = max(
-                np.sqrt(target_sq), path.stages[i].cell.cin_min(library.tech)
-            )
-        sizes[0] = path.cin_first_ff
+            xs[i] = max(math.sqrt(target_sq), floors[i])
+        xs[0] = path.cin_first_ff
 
+    # ``np.sum`` adds pairwise, a Python loop would not: keep it so the
+    # Fig. 1 history's total input capacitance stays bit-identical.
     history: List[BoundsHistoryPoint] = []
-    delay = path_delay_ps(path, sizes, library)
-    history.append(BoundsHistoryPoint(0, float(sizes.sum() / cref_lib), delay))
+    delay = _sized_delay(path, xs, library)
+    history.append(BoundsHistoryPoint(0, float(np.sum(xs) / cref_lib), delay))
 
     iterations = 0
     for iteration in range(1, max_iterations + 1):
         iterations = iteration
-        sizes = _link_equation_sweep(path, sizes, library, sensitivity=0.0, frozen=frozen)
-        sizes[0] = path.cin_first_ff
-        new_delay = path_delay_ps(path, sizes, library)
+        xs = _link_equation_sweep(path, xs, library, sensitivity=0.0, frozen=frozen)
+        xs[0] = path.cin_first_ff
+        new_delay = _sized_delay(path, xs, library)
         history.append(
-            BoundsHistoryPoint(iteration, float(sizes.sum() / cref_lib), new_delay)
+            BoundsHistoryPoint(iteration, float(np.sum(xs) / cref_lib), new_delay)
         )
         if abs(new_delay - delay) < tol_ps:
             delay = new_delay
@@ -439,11 +467,12 @@ def min_delay_bound(
         delay = new_delay
 
     if polish and n > 1:
-        sizes = _projected_gradient_polish(path, sizes, library, frozen=frozen)
-        delay = path_delay_ps(path, sizes, library)
+        xs = _projected_gradient_polish(path, xs, library, frozen=frozen)
+        delay = _sized_delay(path, xs, library)
         history.append(
-            BoundsHistoryPoint(iterations + 1, float(sizes.sum() / cref_lib), delay)
+            BoundsHistoryPoint(iterations + 1, float(np.sum(xs) / cref_lib), delay)
         )
+    sizes = np.array(xs)
     if key is not None and memo is not None:
         memo[key] = (delay, sizes.copy(), tuple(history), iterations)
     return delay, sizes, history, iterations

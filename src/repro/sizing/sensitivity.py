@@ -29,9 +29,19 @@ import numpy as np
 
 from repro.cells.library import Library
 from repro.netlist.circuit import Circuit
-from repro.sizing.bounds import _link_equation_sweep, max_delay_bound, min_delay_bound
+from repro.sizing.bounds import (
+    _link_equation_sweep,
+    _min_sizes,
+    max_delay_bound,
+    min_delay_bound,
+)
 from repro.timing import batch_probe
-from repro.timing.evaluation import delay_gradient, path_area_um, path_delay_ps
+from repro.timing.evaluation import (
+    _sized_delay,
+    delay_gradient,
+    path_area_um,
+    path_delay_ps,
+)
 from repro.timing.incremental import IncrementalSta
 from repro.timing.path import BoundedPath
 from repro.timing.sta import gate_sizes
@@ -118,25 +128,26 @@ def solve_sensitivity(
         raise ValueError(f"sensitivity a must be <= 0, got {a}")
     if weight_mode not in _WEIGHT_MODES:
         raise ValueError(f"weight_mode must be one of {_WEIGHT_MODES}")
-    weights = _area_weights(path, library) if weight_mode == "area" else None
+    weights = _area_weights(path, library).tolist() if weight_mode == "area" else None
 
     if start_sizes is None:
-        sizes = path.min_sizes(library)
+        xs = _min_sizes(path, library)
     else:
-        sizes = path.clamp_sizes(start_sizes, library)
-    delay = path_delay_ps(path, sizes, library)
+        xs = path.clamp_sizes(start_sizes, library).tolist()
+    delay = _sized_delay(path, xs, library)
     iterations = 0
     for iteration in range(1, max_iterations + 1):
         iterations = iteration
-        sizes = _link_equation_sweep(
-            path, sizes, library, sensitivity=a, area_weights=weights, frozen=frozen
+        xs = _link_equation_sweep(
+            path, xs, library, sensitivity=a, area_weights=weights, frozen=frozen
         )
-        sizes[0] = path.cin_first_ff
-        new_delay = path_delay_ps(path, sizes, library)
+        xs[0] = path.cin_first_ff
+        new_delay = _sized_delay(path, xs, library)
         if abs(new_delay - delay) < tol_ps:
             delay = new_delay
             break
         delay = new_delay
+    sizes = np.array(xs)
     return SensitivitySolution(
         a=a,
         sizes=sizes,

@@ -73,7 +73,21 @@ def to_bounded_path(
     if sizes is None:
         sizes = gate_sizes(circuit, library)
     loads = external_loads(circuit, library, output_load_ff, sizes)
+    return _freeze_path(
+        circuit, library, gate_names, input_edge, sizes, loads, input_transition_ps
+    )
 
+
+def _freeze_path(
+    circuit: Circuit,
+    library: Library,
+    gate_names: Sequence[str],
+    input_edge: Edge,
+    sizes: Mapping[str, float],
+    loads: Mapping[str, float],
+    input_transition_ps: float,
+) -> BoundedPath:
+    """:func:`to_bounded_path` under given sizes and gate-output loads."""
     stages: List[PathStage] = []
     for position, name in enumerate(gate_names):
         gate = circuit.gate(name)
@@ -117,13 +131,13 @@ def _reverse_potentials(
     sizes: Mapping[str, float],
     loads: Mapping[str, float],
     slews: Mapping[str, Dict[Edge, float]],
+    fanout: Mapping[str, List[str]],
 ) -> Dict[Tuple[str, Edge], float]:
     """Max remaining delay from (net, edge) to any primary output.
 
     Uses the STA slews as the per-pin input transition estimate, which
     makes the potential a tight (if not strictly admissible) heuristic.
     """
-    fanout = circuit.fanout_map()
     output_set = set(circuit.outputs)
     backend = library.delay_backend
     potential: Dict[Tuple[str, Edge], float] = {}
@@ -165,6 +179,8 @@ def k_critical_paths(
     current annotation (e.g. from an
     :class:`~repro.timing.incremental.IncrementalSta` engine); it must
     have been computed under the same transition/load parameters.
+    Either way its ``loads_ff`` also freeze every candidate's side and
+    terminal loads, and one fan-out map serves the whole search.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -183,7 +199,8 @@ def k_critical_paths(
         net: {edge: ev.transition_ps for edge, ev in per_net.items()}
         for net, per_net in sta.arrivals.items()
     }
-    potential = _reverse_potentials(circuit, library, sizes, loads, slews)
+    fanout = circuit.fanout_map()
+    potential = _reverse_potentials(circuit, library, sizes, loads, slews, fanout)
 
     counter = itertools.count()
     heap: List[Tuple[float, int, str, Edge, float, float, Tuple[str, ...]]] = []
@@ -197,7 +214,6 @@ def k_critical_paths(
                 (-pot, next(counter), net, edge, 0.0, input_transition_ps, ()),
             )
 
-    fanout = circuit.fanout_map()
     output_set = set(circuit.outputs)
     backend = library.delay_backend
     results: List[ExtractedPath] = []
@@ -214,14 +230,14 @@ def k_critical_paths(
             if prefix not in seen_paths:
                 seen_paths.add(prefix)
                 first_edge = _path_input_edge(circuit, library, prefix, edge)
-                bounded = to_bounded_path(
+                bounded = _freeze_path(
                     circuit,
                     library,
                     prefix,
                     first_edge,
-                    sizes=sizes,
-                    output_load_ff=output_load_ff,
-                    input_transition_ps=input_transition_ps,
+                    sizes,
+                    loads,
+                    input_transition_ps,
                 )
                 exact = evaluate_path(
                     bounded, [sizes[g] for g in prefix], library

@@ -16,8 +16,21 @@ vector into the quantities every optimizer consumes:
 
 Because the optimizers evaluate paths tens of thousands of times, the
 per-stage model constants (symmetry factors, thresholds, coupling and
-parasitic coefficients -- all functions of the *structure*, not the
-sizing) are computed once per (path, technology) pair and cached.
+parasitic coefficients, minimum drives -- all functions of the
+*structure*, not the sizing) are computed once per (path, technology)
+pair and cached on the path.
+
+The analytic kernels run on plain Python floats: a sizing vector is
+checked and converted once (``tolist()``), and each stage loop performs
+the same operations in the same order as the numpy-scalar loops it
+replaced, so results are bit-identical to them
+(``tests/test_path_kernels_reference.py`` keeps those loops as the
+reference and compares with ``==``).  :func:`evaluate_path` accumulates
+the same running total as :func:`path_delay_ps`, so the two agree
+exactly.  The private ``_sized_*`` and ``_a_coeffs`` entry points take
+an already-pinned float list; the eq. 4/6 fixed-point loops of
+:mod:`repro.sizing` call them so a solve never round-trips through
+numpy.  Non-analytic backends keep their generic per-stage chain.
 """
 
 from __future__ import annotations
@@ -66,7 +79,8 @@ class _PathConstants:
     ``m`` -- coupling capacitance per unit of input capacitance;
     ``p`` -- parasitic (junction) capacitance per unit of input cap;
     ``cside`` -- fixed off-path load per stage;
-    ``edges`` -- input edge per stage.
+    ``edges`` -- input edge per stage;
+    ``floors`` -- minimum available drive per stage (the eq. 4/6 floor).
     """
 
     s_tau: Tuple[float, ...]
@@ -75,6 +89,7 @@ class _PathConstants:
     p: Tuple[float, ...]
     cside: Tuple[float, ...]
     edges: Tuple[Edge, ...]
+    floors: Tuple[float, ...]
 
 
 def _constants(path: BoundedPath, tech: Technology) -> _PathConstants:
@@ -123,17 +138,20 @@ def _build_constants(path: BoundedPath, tech: Technology) -> _PathConstants:
         p=tuple(p),
         cside=tuple(cside),
         edges=tuple(edges),
+        floors=tuple(stage.cell.cin_min(tech) for stage in path.stages),
     )
 
 
-def _check_sizes(path: BoundedPath, sizes: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(sizes, dtype=float).copy()
+def _check_sizes(path: BoundedPath, sizes: Sequence[float]) -> List[float]:
+    """``sizes`` as a float list: shape and sign checked, ``[0]`` pinned."""
+    arr = np.asarray(sizes, dtype=float)
     if arr.shape != (len(path),):
         raise ValueError(f"expected {len(path)} sizes, got shape {arr.shape}")
-    if np.any(arr <= 0):
+    xs = arr.tolist()
+    if min(xs) <= 0:
         raise ValueError("all sizes must be positive")
-    arr[0] = path.cin_first_ff
-    return arr
+    xs[0] = path.cin_first_ff
+    return xs
 
 
 def stage_external_loads(path: BoundedPath, sizes: np.ndarray) -> np.ndarray:
@@ -154,33 +172,36 @@ def evaluate_path(path: BoundedPath, sizes: Sequence[float], library: Library) -
 
     Non-analytic backends take the generic chain (one scalar
     :meth:`~repro.timing.backend.DelayBackend.gate_timing` call per
-    stage); the analytic fast path below is byte-for-byte the
-    pre-backend code, so default-library results are bit-identical.
+    stage); the analytic loop below is float for float the same
+    arithmetic as :func:`path_delay_ps`, and its total is the same
+    running sum.
     """
-    arr = _check_sizes(path, sizes)
+    xs = _check_sizes(path, sizes)
     backend = library.delay_backend
     if not isinstance(backend, AnalyticBackend):
-        return _backend_evaluate_path(path, arr, library, backend)
+        return _backend_evaluate_path(path, np.array(xs), library, backend)
     k = _constants(path, library.tech)
-    n = len(path)
 
     delays = []
     touts = []
     loads_total = []
+    total = 0.0
     tin = path.tin_first_ps
-    for i in range(n):
-        c = arr[i]
-        downstream = arr[i + 1] if i + 1 < n else path.cterm_ff
-        cl = k.p[i] * c + k.cside[i] + downstream
-        tout = k.s_tau[i] * cl / c
-        cm = k.m[i] * c
+    for c, downstream, p, cside, s_tau, m, vt in zip(
+        xs, xs[1:] + [path.cterm_ff], k.p, k.cside, k.s_tau, k.m, k.vt
+    ):
+        cl = p * c + cside + downstream
+        tout = s_tau * cl / c
+        cm = m * c
         coupling = 1.0 + 2.0 * cm / (cm + cl)
-        delays.append(0.5 * k.vt[i] * tin + 0.5 * coupling * tout)
+        delay = 0.5 * vt * tin + 0.5 * coupling * tout
+        total += delay
+        delays.append(delay)
         touts.append(tout)
         loads_total.append(cl)
         tin = tout
     return PathTiming(
-        total_delay_ps=float(sum(delays)),
+        total_delay_ps=total,
         stage_delays_ps=tuple(delays),
         stage_tout_ps=tuple(touts),
         stage_loads_ff=tuple(loads_total),
@@ -190,21 +211,30 @@ def evaluate_path(path: BoundedPath, sizes: Sequence[float], library: Library) -
 
 def path_delay_ps(path: BoundedPath, sizes: Sequence[float], library: Library) -> float:
     """Total path delay (ps) -- the optimizers' hot loop."""
-    arr = _check_sizes(path, sizes)
+    return _sized_delay(path, _check_sizes(path, sizes), library)
+
+
+def _sized_delay(path: BoundedPath, xs: List[float], library: Library) -> float:
+    """:func:`path_delay_ps` of a float list whose ``[0]`` is already pinned.
+
+    The eq. 4/6 fixed-point loops keep their sizing as a list and call
+    this directly; it keeps the public function's sign check.
+    """
+    if min(xs) <= 0:
+        raise ValueError("all sizes must be positive")
     backend = library.delay_backend
     if not isinstance(backend, AnalyticBackend):
-        return _backend_path_delay(path, arr, library, backend)
+        return _backend_path_delay(path, np.array(xs), library, backend)
     k = _constants(path, library.tech)
-    n = len(path)
     total = 0.0
     tin = path.tin_first_ps
-    for i in range(n):
-        c = arr[i]
-        downstream = arr[i + 1] if i + 1 < n else path.cterm_ff
-        cl = k.p[i] * c + k.cside[i] + downstream
-        tout = k.s_tau[i] * cl / c
-        cm = k.m[i] * c
-        total += 0.5 * k.vt[i] * tin + 0.5 * (1.0 + 2.0 * cm / (cm + cl)) * tout
+    for c, downstream, p, cside, s_tau, m, vt in zip(
+        xs, xs[1:] + [path.cterm_ff], k.p, k.cside, k.s_tau, k.m, k.vt
+    ):
+        cl = p * c + cside + downstream
+        tout = s_tau * cl / c
+        cm = m * c
+        total += 0.5 * vt * tin + 0.5 * (1.0 + 2.0 * cm / (cm + cl)) * tout
         tin = tout
     return total
 
@@ -309,19 +339,25 @@ def effective_a_coeffs(
     ``library.delay_backend.capabilities.closed_form_bounds`` and fall
     back to the numeric link sweep of :mod:`repro.sizing.bounds`.
     """
-    arr = np.asarray(sizes, dtype=float)
+    xs = np.asarray(sizes, dtype=float).tolist()
+    return np.array(_a_coeffs(path, xs, library))
+
+
+def _a_coeffs(path: BoundedPath, xs: List[float], library: Library) -> List[float]:
+    """:func:`effective_a_coeffs` of a float list, as a list."""
     k = _constants(path, library.tech)
+    p, cside, m, vt, s_tau = k.p, k.cside, k.m, k.vt, k.s_tau
     n = len(path)
-    coeffs = np.empty(n)
+    coeffs = []
     for i in range(n):
-        c = arr[i]
-        downstream = arr[i + 1] if i + 1 < n else path.cterm_ff
-        cl = k.p[i] * c + k.cside[i] + downstream
-        cm = k.m[i] * c
+        c = xs[i]
+        downstream = xs[i + 1] if i + 1 < n else path.cterm_ff
+        cl = p[i] * c + cside[i] + downstream
+        cm = m[i] * c
         weight = 0.5 * (1.0 + 2.0 * cm / (cm + cl))
         if i + 1 < n:
-            weight += 0.5 * k.vt[i + 1]
-        coeffs[i] = weight * k.s_tau[i]
+            weight += 0.5 * vt[i + 1]
+        coeffs.append(weight * s_tau[i])
     return coeffs
 
 
@@ -341,43 +377,52 @@ def delay_gradient(
     dispatch to the central-difference fallback (which itself routes
     every evaluation through the backend's scalar kernel).
     """
-    arr = _check_sizes(path, sizes)
+    return np.array(_sized_gradient(path, _check_sizes(path, sizes), library))
+
+
+def _sized_gradient(
+    path: BoundedPath, xs: List[float], library: Library
+) -> List[float]:
+    """:func:`delay_gradient` of a pinned float list, as a list."""
+    if min(xs) <= 0:
+        raise ValueError("all sizes must be positive")
     if not isinstance(library.delay_backend, AnalyticBackend):
-        return delay_gradient_numeric(path, arr, library)
+        return delay_gradient_numeric(path, xs, library).tolist()
     k = _constants(path, library.tech)
+    p, cside, m, vt, s_tau = k.p, k.cside, k.m, k.vt, k.s_tau
     n = len(path)
 
     # Forward quantities.
-    cl = np.empty(n)
-    tout = np.empty(n)
-    cm = np.empty(n)
-    kf = np.empty(n)  # coupling factor K_i
+    cl = []
+    tout = []
+    cm = []
+    w = []  # weight of tout_i in T: its own K_i/2 plus the next stage's slope
     for i in range(n):
-        c = arr[i]
-        downstream = arr[i + 1] if i + 1 < n else path.cterm_ff
-        cl[i] = k.p[i] * c + k.cside[i] + downstream
-        tout[i] = k.s_tau[i] * cl[i] / c
-        cm[i] = k.m[i] * c
-        kf[i] = 1.0 + 2.0 * cm[i] / (cm[i] + cl[i])
+        c = xs[i]
+        downstream = xs[i + 1] if i + 1 < n else path.cterm_ff
+        cl_i = p[i] * c + cside[i] + downstream
+        cm_i = m[i] * c
+        cl.append(cl_i)
+        tout.append(s_tau[i] * cl_i / c)
+        cm.append(cm_i)
+        w.append(0.5 * (1.0 + 2.0 * cm_i / (cm_i + cl_i)))
+    for i in range(n - 1):
+        w[i] += 0.5 * vt[i + 1]
 
-    # Weight of tout_i in T: its own K_i/2 plus the next stage's slope.
-    w = 0.5 * kf.copy()
-    w[: n - 1] += 0.5 * np.asarray(k.vt[1:])
-
-    grad = np.zeros(n)
+    grad = [0.0] * n
     for j in range(1, n):
-        c = arr[j]
+        c = xs[j]
         denominator = (cm[j] + cl[j]) ** 2
         # d tout_j / d c_j: only the external part of the load divides c.
-        ext_j = cl[j] - k.p[j] * c
-        dtout_j = -k.s_tau[j] * ext_j / c**2
+        ext_j = cl[j] - p[j] * c
+        dtout_j = -s_tau[j] * ext_j / c**2
         # d K_j / d c_j through cm (m_j) and cl (p_j).
-        dk_j = (2.0 * cl[j] * k.m[j] - 2.0 * cm[j] * k.p[j]) / denominator
+        dk_j = (2.0 * cl[j] * m[j] - 2.0 * cm[j] * p[j]) / denominator
         value = w[j] * dtout_j + 0.5 * tout[j] * dk_j
 
         # Upstream stage j-1 sees c_j in its load.
         i = j - 1
-        dtout_i = k.s_tau[i] / arr[i]
+        dtout_i = s_tau[i] / xs[i]
         dk_i = -2.0 * cm[i] / (cm[i] + cl[i]) ** 2
         value += w[i] * dtout_i + 0.5 * tout[i] * dk_i
         grad[j] = value

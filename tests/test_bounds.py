@@ -1,10 +1,19 @@
 """Tests for the Tmin / Tmax delay bounds (section 3.1, eq. 4, Fig. 1)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.cells.gate_types import GateKind
-from repro.sizing.bounds import delay_bounds, max_delay_bound, min_delay_bound
+from repro.cells.library import default_library
+from repro.sizing.bounds import (
+    delay_bounds,
+    max_delay_bound,
+    min_delay_bound,
+    tmin_memo,
+)
 from repro.timing.evaluation import delay_gradient, path_delay_ps
 from repro.timing.path import make_path
 
@@ -111,3 +120,93 @@ class TestHeavyTerminalLoad:
         t_light, _, _, _ = min_delay_bound(light, lib)
         t_heavy, _, _, _ = min_delay_bound(heavy, lib)
         assert t_heavy > t_light
+
+
+class TestTminMemoScope:
+    def test_overlapping_threads_keep_their_own_memo(
+        self, eleven_gate_path, short_path, lib
+    ):
+        """Barrier-stepped: A enters, B enters, A exits, B solves, B exits.
+
+        A module-global memo slot fails this twice: A's exit restores the
+        slot to what it held before A (nothing), so B's solve misses B's
+        memo; and B's exit then restores A's memo, leaking it to every
+        later solve in the process.
+        """
+        memo_a, memo_b = {}, {}
+        step = threading.Barrier(2, timeout=30)
+
+        def run_a():
+            with tmin_memo(memo_a):
+                step.wait()  # 1: A's memo active
+                step.wait()  # 2: B's memo active too
+            step.wait()  # 3: A has exited
+
+        def run_b():
+            step.wait()
+            with tmin_memo(memo_b):
+                step.wait()
+                step.wait()
+                min_delay_bound(eleven_gate_path, lib)
+
+        threads = [threading.Thread(target=run) for run in (run_a, run_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(memo_b) == 1
+        # Outside every scope no memo is active, in this thread or any.
+        min_delay_bound(short_path, lib)
+        assert (len(memo_a), len(memo_b)) == (0, 1)
+
+    def test_memo_stress_each_thread_fills_only_its_own(self, lib):
+        """More threads than cores, a tiny switch interval: no memo leaks."""
+        kinds = [GateKind.INV, GateKind.NAND2, GateKind.NOR2, GateKind.INV]
+        paths = [
+            make_path(kinds, lib, cterm_ff=(10.0 + i) * lib.cref) for i in range(6)
+        ]
+        memos = [{} for _ in paths]
+
+        def run(path, memo):
+            with tmin_memo(memo):
+                for _ in range(20):
+                    min_delay_bound(path, lib)
+                    min_delay_bound(path, lib, polish=False)
+
+        threads = [
+            threading.Thread(target=run, args=pair) for pair in zip(paths, memos)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for path, memo in zip(paths, memos):
+            assert set(memo) == {
+                (lib.fingerprint(), polish, path.fingerprint())
+                for polish in (True, False)
+            }
+
+    def test_memo_is_keyed_by_library_value(self, eleven_gate_path, lib):
+        """Equal libraries share entries; the key holds no object identity."""
+        memo = {}
+        twin = default_library()
+        assert twin is not lib and twin.fingerprint() == lib.fingerprint()
+        with tmin_memo(memo):
+            first = min_delay_bound(eleven_gate_path, lib)
+            second = min_delay_bound(eleven_gate_path, twin)
+        assert len(memo) == 1
+        ((library_key, polish, path_key),) = memo
+        assert (library_key, polish, path_key) == (
+            lib.fingerprint(),
+            True,
+            eleven_gate_path.fingerprint(),
+        )
+        assert second[0] == first[0]
+        np.testing.assert_array_equal(second[1], first[1])

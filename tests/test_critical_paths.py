@@ -15,6 +15,7 @@ from repro.timing.critical_paths import (
 )
 from repro.timing.delay_model import Edge
 from repro.timing.evaluation import path_delay_ps
+from repro.timing.incremental import IncrementalSta
 from repro.timing.sta import analyze, gate_sizes
 
 
@@ -33,6 +34,25 @@ class TestExtraction:
         delays = [p.delay_ps for p in paths]
         assert delays == sorted(delays, reverse=True)
         assert len({p.gate_names for p in paths}) == 5
+
+    def test_sta_annotation_supplies_the_bounded_path_loads(self, lib):
+        """Candidates frozen with an engine's loads equal recomputed ones."""
+        circuit = load_benchmark("c880")
+        rng = np.random.default_rng(5)
+        names = list(circuit.gates)
+        for name in names:
+            base = lib.cell(circuit.gates[name].kind).cin_min(lib.tech)
+            circuit.gates[name].cin_ff = base * float(rng.uniform(1.0, 6.0))
+        engine = IncrementalSta(circuit, lib)
+        edited = [names[i] for i in rng.choice(len(names), size=40, replace=False)]
+        for name in edited:
+            circuit.gates[name].cin_ff *= 2.5
+        paths = k_critical_paths(circuit, lib, k=4, sta=engine.update(edited))
+        assert paths == k_critical_paths(circuit, lib, k=4)
+        for extracted in paths:
+            assert extracted.path == to_bounded_path(
+                circuit, lib, extracted.gate_names, extracted.input_edge
+            )
 
     def test_k_validation(self, lib):
         with pytest.raises(ValueError):
