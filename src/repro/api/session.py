@@ -60,7 +60,6 @@ from repro.obs.trace import NULL_TRACER, Stopwatch, Tracer
 from repro.process.technology import Technology
 from repro.protocol.optimizer import WarmStart, optimize_circuit, optimize_path
 from repro.sizing.bounds import DelayBounds, delay_bounds
-from repro.timing.batch_probe import BatchProbeEngine
 from repro.timing.critical_paths import ExtractedPath, critical_path
 from repro.timing.incremental import IncrementalSta
 from repro.timing.sta import StaResult
@@ -87,8 +86,6 @@ class SessionStats:
     bounds_misses: int = 0
     compile_hits: int = 0
     compile_misses: int = 0
-    probe_hits: int = 0
-    probe_misses: int = 0
     jobs_run: int = 0
     # Process-pool supervision (see optimize_many): broken-pool events,
     # fresh-pool retries, and batches that fell back to the serial loop.
@@ -211,7 +208,6 @@ class Session:
         self._path_cache: BoundedCache = BoundedCache(cache_limit, "paths")
         self._bounds_cache: BoundedCache = BoundedCache(cache_limit, "bounds")
         self._compiled: BoundedCache = BoundedCache(cache_limit, "compiled")
-        self._probes: BoundedCache = BoundedCache(cache_limit, "probes")
         # Concurrency plumbing: `_lock` guards the cache maps and the
         # key-lock table; `_key_locks` holds one refcounted RLock per
         # in-flight populate key, dropped as soon as no thread needs it
@@ -429,36 +425,6 @@ class Session:
                 comp.bind(circuit)
         return comp
 
-    def probe_engine(self, circuit: Circuit) -> BatchProbeEngine:
-        """Cone-sparse batch probe engine, memoized on the *structure*.
-
-        The :class:`~repro.timing.batch_probe.BatchProbeEngine` owns a
-        private compiled form plus the memoized fan-out-cone closures of
-        every probed gate -- both pure functions of the structure, so a
-        Tc-sweep's many sizings of one netlist share one engine and pay
-        only the cheap sizing re-bind per call
-        (:meth:`~repro.timing.batch_probe.BatchProbeEngine.bind`).  The
-        engine is separate from :meth:`compiled`'s object on purpose:
-        probe batches and ``mc`` batches may run concurrently, and each
-        holds its own per-structure populate lock around its own arrays.
-        """
-        key = (self._fp, circuit_structure_key(circuit))
-        # Per-structure lock: ``bind`` rewrites the shared base
-        # annotation, so concurrent binds of different sizings must
-        # serialize, and callers run their batch under this same key.
-        with self._populate_lock("probes", key):
-            with self._lock:
-                engine = self._probes.get(key)
-            if engine is None:
-                self.stats.probe_misses += 1
-                engine = BatchProbeEngine(circuit, self._library)
-                with self._lock:
-                    self._probes[key] = engine
-            else:
-                self.stats.probe_hits += 1
-                engine.bind(circuit)
-        return engine
-
     def clear_caches(self) -> None:
         """Drop every memoized artefact (the Flimit table included)."""
         with self._lock:
@@ -469,7 +435,6 @@ class Session:
             self._path_cache.clear()
             self._bounds_cache.clear()
             self._compiled.clear()
-            self._probes.clear()
 
     def cache_stats(self) -> Dict[str, Any]:
         """Size, bound, counters and rates of every cache, one schema.
@@ -494,7 +459,6 @@ class Session:
                     self._path_cache,
                     self._bounds_cache,
                     self._compiled,
-                    self._probes,
                 )
             }
             return {
@@ -856,10 +820,6 @@ JOB_ERROR_KEY = "__pops_job_error__"
 
 #: Pool-infrastructure failures that trigger the serial fallback.
 POOL_ERRORS: Tuple[type, ...] = (OSError, ImportError, BrokenProcessPool)
-
-# Backwards-compatible private aliases (pre-explore spelling).
-_JOB_ERROR_KEY = JOB_ERROR_KEY
-_POOL_ERRORS = POOL_ERRORS
 
 
 def worker_session(

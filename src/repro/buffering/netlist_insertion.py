@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cells.gate_types import GateKind
 from repro.cells.library import Library
 from repro.netlist.circuit import Circuit
-from repro.timing import batch_probe
 from repro.timing.incremental import IncrementalSta
 
 
@@ -92,48 +91,21 @@ def trial_buffer_pairs(
     candidates: Sequence[str],
     engine: Optional[IncrementalSta] = None,
     cin_ff: Optional[float] = None,
-    min_batch_columns: Optional[int] = None,
-    probe_engine: Optional["batch_probe.BatchProbeEngine"] = None,
 ) -> Dict[str, float]:
     """Critical delay with a buffer pair trial-inserted after each candidate.
 
-    With at least ``min_batch_columns`` candidates (default
-    :data:`~repro.timing.batch_probe.BATCH_PROBE_MIN_COLUMNS`) the whole
-    batch is scored by one cone-sparse propagation
-    (:meth:`~repro.timing.batch_probe.BatchProbeEngine.
-    buffer_pair_delays`) that never touches ``circuit`` at all; below
-    it, each candidate is inserted, re-timed incrementally (structure
+    Each candidate is inserted, re-timed incrementally (structure
     refresh plus the pair's fan-out cone -- not a full STA) and undone
-    before the next trial.  Both paths are bit-identical, and either way
-    the circuit and the engine leave exactly as they arrived --
-    *including* when a scalar re-timing or removal raises mid-trial: the
-    in-flight pair is unwound and the engine re-synced before the
-    exception propagates.  A caller-supplied ``probe_engine`` (e.g. the
-    :meth:`~repro.api.session.Session.probe_engine` cache) must have
-    been built with boundary conditions matching ``engine``'s; it is
-    re-bound to ``circuit``'s current sizing here.  Returns
-    ``candidate -> critical delay (ps)``.
+    before the next trial.  The circuit and the engine leave exactly as
+    they arrived -- *including* when a re-timing or removal raises
+    mid-trial: the in-flight pair is unwound and the engine re-synced
+    before the exception propagates.  Returns ``candidate -> critical
+    delay (ps)``.
     """
-    if engine is not None and engine.circuit is not circuit:
-        raise ValueError("engine must track the probed circuit")
-
-    if batch_probe.should_batch(len(candidates), min_batch_columns):
-        if probe_engine is None:
-            kwargs = {}
-            if engine is not None:
-                kwargs = dict(
-                    input_transition_ps=engine.input_transition_ps,
-                    output_load_ff=engine.output_load_ff,
-                    wire_model=engine.wire_model,
-                )
-            probe_engine = batch_probe.BatchProbeEngine(circuit, library, **kwargs)
-        else:
-            probe_engine.bind(circuit)
-        batch = probe_engine.buffer_pair_delays(candidates, cin_ff=cin_ff)
-        return {name: float(d) for name, d in zip(candidates, batch)}
-
     if engine is None:
         engine = IncrementalSta(circuit, library)
+    elif engine.circuit is not circuit:
+        raise ValueError("engine must track the probed circuit")
     delays: Dict[str, float] = {}
     try:
         for name in candidates:
@@ -153,7 +125,6 @@ def reduce_delay_with_buffers(
     limits: Optional[Dict] = None,
     max_insertions: int = 8,
     engine: Optional[IncrementalSta] = None,
-    min_batch_columns: Optional[int] = None,
 ) -> Tuple[Circuit, Tuple[str, ...], float]:
     """Greedy netlist-level load dilution: trial, keep the best, repeat.
 
@@ -162,12 +133,8 @@ def reduce_delay_with_buffers(
     trial-inserts a polarity-preserving pair after each flagged gate and
     keeps the single insertion that lowers the circuit's critical delay
     most.  Rounds repeat until no trial helps or ``max_insertions`` is
-    reached.  Rounds with at least ``min_batch_columns`` flagged gates
-    are scored by the cone-sparse batch kernel (see
-    :func:`trial_buffer_pairs`; each kept insertion changes the
-    structure, so the probe engine is rebuilt per batched round).
-    Mutates ``circuit`` in place; returns it with the names of the
-    buffered gates and the final critical delay.
+    reached.  Mutates ``circuit`` in place; returns it with the names of
+    the buffered gates and the final critical delay.
     """
     from repro.buffering.insertion import default_flimits, overloaded_gates
 
@@ -187,13 +154,7 @@ def reduce_delay_with_buffers(
         ]
         if not flagged:
             break
-        trials = trial_buffer_pairs(
-            circuit,
-            library,
-            flagged,
-            engine=engine,
-            min_batch_columns=min_batch_columns,
-        )
+        trials = trial_buffer_pairs(circuit, library, flagged, engine=engine)
         winner = min(trials, key=lambda name: trials[name])
         if trials[winner] >= best_delay - 1e-9:
             break

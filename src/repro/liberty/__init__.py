@@ -7,7 +7,7 @@ seam (:mod:`repro.timing.backend`):
 * :mod:`repro.liberty.tables` -- stacked NLDM tables + the shared
   bilinear interpolation kernels;
 * :mod:`repro.liberty.nldm` -- the :class:`NldmBackend` implementing
-  scalar, batch and probe surfaces from the tables;
+  scalar and batch surfaces from the tables;
 * :mod:`repro.liberty.export` -- characterise an analytic library into
   ``.lib`` text (the sample-library generator).
 

@@ -15,16 +15,13 @@ tables of :class:`~repro.liberty.tables.NldmTables`:
   nominal column with per-level vectorized lookups, then scales every
   corner column by the global speed ratio ``tau_corner / tau_nominal``
   (``capabilities.exact_corners`` is ``False``: tables are
-  characterised at one process point);
-* the **probe** surface (:class:`NldmProbeModel`) evaluates
-  ``(gate, column)`` pair groups for the cone-sparse engine, including
-  the trial inverter-pair chaining through the library's INV tables.
+  characterised at one process point).
 
-Bit-exactness: all three surfaces share the interpolation kernels of
+Bit-exactness: both surfaces share the interpolation kernels of
 :mod:`repro.liberty.tables`, evaluated in one operation order, so the
-four evaluators agree bit for bit *within* this backend.  Unlike the
+three evaluators agree bit for bit *within* this backend.  Unlike the
 analytic model, an NLDM output transition depends on the winning fan-in
-arc's slew, so the group evaluation tracks the argmax winner; ``max``
+arc's slew, so the level evaluation tracks the argmax winner; ``max``
 ties resolve to the first slot, matching the scalar engine's
 strict-``>`` first-wins selection over the same fan-in order.
 
@@ -45,19 +42,12 @@ from repro.cells.gate_types import GateKind
 from repro.cells.library import UnknownCellError
 from repro.liberty.tables import NldmTables, interp_table, interp_table_stack
 from repro.process.technology import Technology
-from repro.timing.backend import (
-    BackendCapabilities,
-    BatchDelayModel,
-    DelayBackend,
-    ProbeDelayModel,
-)
+from repro.timing.backend import BackendCapabilities, BatchDelayModel, DelayBackend
 from repro.timing.delay_model import Edge, GateTiming, output_edge_for
-from repro.timing.sta import gate_external_load
 
 if TYPE_CHECKING:  # pragma: no cover - type names only
     from repro.mc.compile import CompiledCircuit
     from repro.mc.corners import CornerSamples
-    from repro.timing.batch_probe import BatchProbeEngine
 
 
 class NldmBackend(DelayBackend):
@@ -130,10 +120,6 @@ class NldmBackend(DelayBackend):
     def compile_model(self, compiled: "CompiledCircuit") -> BatchDelayModel:
         """Fold per-gate table selectors into a batch model."""
         return NldmBatchModel(self, compiled)
-
-    def probe_model(self, engine: "BatchProbeEngine") -> ProbeDelayModel:
-        """Pair-group evaluation sharing the compiled batch model's stacks."""
-        return NldmProbeModel(self, engine)
 
 
 class NldmBatchModel(BatchDelayModel):
@@ -251,149 +237,3 @@ class NldmBatchModel(BatchDelayModel):
         time_fall[:] = t_f[:, None] * scale[None, :]
         tran_rise[:] = x_r[:, None] * scale[None, :]
         tran_fall[:] = x_f[:, None] * scale[None, :]
-
-
-class NldmProbeModel(ProbeDelayModel):
-    """Probe surface: per-pair table lookups for the cone-sparse engine.
-
-    Shares the table stacks and selectors of the engine's compiled
-    :class:`NldmBatchModel` (the engine's base annotation is that
-    model's nominal column, so served base cells and recomputed cells
-    agree bit for bit).  The only per-pair parameter is the effective
-    table load; delays are looked up per ``(pair, fan-in slot)`` and the
-    winning arc's slew drives the output-transition lookup.
-    """
-
-    def __init__(self, backend: NldmBackend, engine: "BatchProbeEngine") -> None:
-        self._backend = backend
-        self._engine = engine
-        model = engine.compiled.model
-        if not isinstance(model, NldmBatchModel):  # pragma: no cover - guard
-            raise TypeError("engine compiled under a different backend")
-        self._batch = model
-
-    def bind(self, engine: "BatchProbeEngine") -> None:
-        """Nothing beyond the batch model's ``bind`` (shared ``l_eff``)."""
-
-    def chunk_params(
-        self,
-        pair_g: np.ndarray,
-        over_pos: np.ndarray,
-        over_cin: np.ndarray,
-        over_load: np.ndarray,
-    ) -> Tuple[np.ndarray, ...]:
-        """Effective table load per pair, overrides scattered in."""
-        batch = self._batch
-        l_eff = batch._l_eff[pair_g].copy()
-        l_eff[over_pos] = over_load * (batch._cin_ref[pair_g[over_pos]] / over_cin)
-        return (l_eff,)
-
-    def eval_group(
-        self,
-        params: Tuple[np.ndarray, ...],
-        gs: int,
-        ge: int,
-        g: np.ndarray,
-        rows: np.ndarray,
-        mask: np.ndarray,
-        cc: np.ndarray,
-        time_rise: np.ndarray,
-        time_fall: np.ndarray,
-        tran_rise: np.ndarray,
-        tran_fall: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Table-lookup arrivals of one level group of pairs."""
-        batch = self._batch
-        t = self._backend.tables
-        sax = t.slew_axis
-        lax = t.load_axis
-        (l_eff,) = params
-        le = l_eff[gs:ge]
-        ir_sel = batch._ir_sel[g]
-        if_sel = batch._if_sel[g]
-        neg_inf = -np.inf
-        pi = np.arange(ge - gs)
-
-        slew = tran_rise[rows, cc]
-        d = interp_table_stack(
-            batch._delay_stack, ir_sel[:, None], sax, lax, slew, le[:, None]
-        )
-        cand = np.where(mask, time_rise[rows, cc] + d, neg_inf)
-        m_ir = np.max(cand, axis=1)
-        win = np.argmax(cand, axis=1)
-        tr_ir = interp_table_stack(
-            batch._tran_stack, ir_sel, sax, lax, slew[pi, win], le
-        )
-
-        slew = tran_fall[rows, cc]
-        d = interp_table_stack(
-            batch._delay_stack, if_sel[:, None], sax, lax, slew, le[:, None]
-        )
-        cand = np.where(mask, time_fall[rows, cc] + d, neg_inf)
-        m_if = np.max(cand, axis=1)
-        win = np.argmax(cand, axis=1)
-        tr_if = interp_table_stack(
-            batch._tran_stack, if_sel, sax, lax, slew[pi, win], le
-        )
-
-        inv = self._engine.compiled.inverting[g]
-        t_rise = np.where(inv, m_if, m_ir)
-        t_fall = np.where(inv, m_ir, m_if)
-        tr_rise = np.where(inv, tr_if, tr_ir)
-        tr_fall = np.where(inv, tr_ir, tr_if)
-        return t_rise, t_fall, tr_rise, tr_fall
-
-    def pair_constants(self, pair_cin: float) -> Tuple:
-        """Column-independent terms of the trial pair's first inverter."""
-        engine = self._engine
-        t = self._backend.tables
-        inv_idx = self._backend._cell_index(GateKind.INV)
-        load_a = gate_external_load(
-            ("__bufb__",),
-            {"__bufb__": pair_cin},
-            False,
-            engine.compiled.output_load_ff,
-            engine.compiled.wire_model,
-        )
-        cin_ref_inv = t.cin_ref[inv_idx]
-        l_eff_a = load_a * (cin_ref_inv / pair_cin)
-        return (pair_cin, inv_idx, l_eff_a, cin_ref_inv)
-
-    def through_pair(
-        self,
-        consts: Tuple,
-        t_rise_g: np.ndarray,
-        t_fall_g: np.ndarray,
-        tr_rise_g: np.ndarray,
-        tr_fall_g: np.ndarray,
-        load_b: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Chain a candidate's output through both trial INV tables.
-
-        Each inverter has a single fan-in, so the per-edge reduction
-        degenerates to the lone candidate: four lookups per inverter
-        (delay and transition, per polarity), in the scalar engine's
-        operation order on the rewired netlist.
-        """
-        pair_cin, inv_idx, l_eff_a, cin_ref_inv = consts
-        t = self._backend.tables
-        sax = t.slew_axis
-        lax = t.load_axis
-        d_rise = t.cell_rise[inv_idx]
-        d_fall = t.cell_fall[inv_idx]
-        x_rise = t.rise_transition[inv_idx]
-        x_fall = t.fall_transition[inv_idx]
-
-        # First inverter: rising input -> falling output and vice versa.
-        t_fall_a = t_rise_g + interp_table(d_fall, sax, lax, tr_rise_g, l_eff_a)
-        t_rise_a = t_fall_g + interp_table(d_rise, sax, lax, tr_fall_g, l_eff_a)
-        x_fall_a = interp_table(x_fall, sax, lax, tr_rise_g, l_eff_a)
-        x_rise_a = interp_table(x_rise, sax, lax, tr_fall_g, l_eff_a)
-
-        # Second inverter: per-column load (the candidate's old sinks).
-        l_eff_b = load_b * (cin_ref_inv / pair_cin)
-        t_fall_b = t_rise_a + interp_table(d_fall, sax, lax, x_rise_a, l_eff_b)
-        t_rise_b = t_fall_a + interp_table(d_rise, sax, lax, x_fall_a, l_eff_b)
-        x_fall_b = interp_table(x_fall, sax, lax, x_rise_a, l_eff_b)
-        x_rise_b = interp_table(x_rise, sax, lax, x_fall_a, l_eff_b)
-        return t_rise_b, t_fall_b, x_rise_b, x_fall_b

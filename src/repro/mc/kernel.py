@@ -47,11 +47,10 @@ class AnalyticBatchModel(BatchDelayModel):
     """Batch surface of the analytic backend: the eq. 1-3 level loop.
 
     The constructor folds the per-gate cell constants of the compiled
-    structure into arrays (written onto ``compiled`` itself -- the
-    cone-sparse probe engine shares them), :meth:`bind` refreshes the
-    sizing-derived ones, and :meth:`propagate` is the original
-    :func:`batch_analyze` level loop, moved verbatim so the bit-identity
-    contract above survives the backend seam untouched.
+    structure into arrays (written onto ``compiled`` itself),
+    :meth:`bind` refreshes the sizing-derived ones, and :meth:`propagate`
+    is the original :func:`batch_analyze` level loop, moved verbatim so
+    the bit-identity contract above survives the backend seam untouched.
     """
 
     def __init__(self, compiled: CompiledCircuit) -> None:

@@ -10,10 +10,9 @@ dict.  Metric names are dotted, lowercase, ``<layer>.<thing>[.<unit>]``
 :func:`session_metrics` and :func:`serve_metrics` are the unification
 layer over the stack's pre-existing ad-hoc stat surfaces
 (``SessionStats``, ``BoundedCache.stats``, ``IncrementalSta.stats``,
-batch-probe dispatch decisions, ``ServeStats`` / queue / store): they
-*read* those surfaces -- no public field changes -- and assemble the one
-combined schema that the serve ``metrics`` protocol op and ``pops
-status`` report.
+``ServeStats`` / queue / store): they *read* those surfaces -- no public
+field changes -- and assemble the one combined schema that the serve
+``metrics`` protocol op and ``pops status`` report.
 """
 
 from __future__ import annotations
@@ -204,11 +203,8 @@ def session_metrics(session: Any) -> Dict[str, Any]:
           "session": {"counters": ..., "caches": {name: stats+hit_rate}},
           "sta":     {"engines": n, <summed IncrementalStats>,
                       "mean_cone_gates": ...},
-          "probe":   <batch-probe dispatch decisions + threshold>,
         }
     """
-    from repro.timing import batch_probe
-
     cache_stats = session.cache_stats()
     sta: Dict[str, Any] = {
         "engines": 0,
@@ -236,7 +232,6 @@ def session_metrics(session: Any) -> Dict[str, Any]:
             "caches": cache_stats["caches"],
         },
         "sta": sta,
-        "probe": batch_probe.DISPATCH_STATS.as_dict(),
     }
 
 

@@ -403,10 +403,10 @@ def optimize_circuit(
     ``rescue_buffers`` (opt-in) adds a netlist-level endgame when the
     path protocol alone leaves ``Tc`` unmet: greedy
     :func:`~repro.buffering.netlist_insertion.reduce_delay_with_buffers`
-    rounds on the rolled-back best state, scored through the cone-sparse
-    batch kernel when enough gates are flagged.  Insertions are kept
-    only when they lower the critical delay, so the default
-    (``False``) and any non-improving run leave the result unchanged.
+    rounds on the rolled-back best state, each trial scored by an
+    incremental re-timing.  Insertions are kept only when they lower the
+    critical delay, so the default (``False``) and any non-improving run
+    leave the result unchanged.
 
     ``tracer`` (optional) records ``optimize.pass`` / ``optimize.path``
     spans on an enabled :class:`repro.obs.Tracer`; pass-level

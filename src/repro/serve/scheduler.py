@@ -49,6 +49,7 @@ byte-identical to direct ``Session`` calls.
 from __future__ import annotations
 
 import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -152,6 +153,10 @@ class JobExecutor:
         # can stop waiting; sized like the worker pools it shadows.
         self._deadline: Optional[ThreadPoolExecutor] = None
         self._abandoned = 0
+        # Guards the lazily built pools and ``_abandoned``: worker threads
+        # build, discard and count concurrently, and an unguarded lazy
+        # build lets two threads each create a pool, leaking one.
+        self._lock = threading.Lock()
 
     # -- pool selection ------------------------------------------------
 
@@ -168,27 +173,30 @@ class JobExecutor:
         return "heavy" if kind in HEAVY_KINDS else "light"
 
     def _process_pool(self) -> Any:
-        if self._proc_pool is None:
-            self._proc_pool = self.pool_factory(self.procs)
-        return self._proc_pool
+        with self._lock:
+            if self._proc_pool is None:
+                self._proc_pool = self.pool_factory(self.procs)
+            return self._proc_pool
 
     def _discard_pool(self) -> None:
         """Drop a broken pool so the next attempt builds a fresh one."""
-        pool = self._proc_pool
-        self._proc_pool = None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False)
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
+        with self._lock:
+            pool = self._proc_pool
+            self._proc_pool = None
+            if pool is not None:
+                try:
+                    pool.shutdown(wait=False)
+                except Exception:  # pragma: no cover - best-effort teardown
+                    pass
 
     def _deadline_pool(self) -> ThreadPoolExecutor:
-        if self._deadline is None:
-            self._deadline = ThreadPoolExecutor(
-                max_workers=self.threads + self.heavy_threads,
-                thread_name_prefix="pops-deadline",
-            )
-        return self._deadline
+        with self._lock:
+            if self._deadline is None:
+                self._deadline = ThreadPoolExecutor(
+                    max_workers=self.threads + self.heavy_threads,
+                    thread_name_prefix="pops-deadline",
+                )
+            return self._deadline
 
     # -- execution -----------------------------------------------------
 
@@ -223,7 +231,8 @@ class JobExecutor:
             return future.result(timeout=deadline)
         except FuturesTimeoutError:
             future.cancel()  # free the slot if it never started
-            self._abandoned += 1
+            with self._lock:
+                self._abandoned += 1
             self.metrics.inc("resilience.timeouts")
             log.warning("%s job exceeded its %.3fs deadline", kind, deadline)
             raise JobTimeoutError(
@@ -363,15 +372,18 @@ class JobExecutor:
 
     def shutdown(self, wait: bool = True) -> None:
         """Tear the pools down (after the server drained its queue)."""
+        # The thread pools shut down outside the lock: a heavy thread
+        # may still need it to reach the process pool.
         self._light.shutdown(wait=wait)
         self._heavy.shutdown(wait=wait)
-        if self._deadline is not None:
-            # Never wait on abandoned (timed-out) computations.
-            self._deadline.shutdown(wait=False, cancel_futures=True)
-            self._deadline = None
-        if self._proc_pool is not None:
-            self._proc_pool.shutdown(wait=wait and self._abandoned == 0)
-            self._proc_pool = None
+        with self._lock:
+            if self._deadline is not None:
+                # Never wait on abandoned (timed-out) computations.
+                self._deadline.shutdown(wait=False, cancel_futures=True)
+                self._deadline = None
+            if self._proc_pool is not None:
+                self._proc_pool.shutdown(wait=wait and self._abandoned == 0)
+                self._proc_pool = None
 
     def stats(self) -> Dict[str, Any]:
         """Pool shape for the status endpoint."""

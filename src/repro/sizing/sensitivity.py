@@ -23,7 +23,7 @@ Two weighting modes are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from repro.sizing.bounds import (
     max_delay_bound,
     min_delay_bound,
 )
-from repro.timing import batch_probe
 from repro.timing.evaluation import (
     _sized_delay,
     delay_gradient,
@@ -44,7 +43,6 @@ from repro.timing.evaluation import (
 )
 from repro.timing.incremental import IncrementalSta
 from repro.timing.path import BoundedPath
-from repro.timing.sta import gate_sizes
 
 _WEIGHT_MODES = ("uniform", "area")
 
@@ -200,71 +198,27 @@ def circuit_gate_sensitivities(
     gates: Optional[Iterable[str]] = None,
     rel_step: float = 1e-3,
     engine: Optional[IncrementalSta] = None,
-    min_batch_columns: Optional[int] = None,
-    probe_engine: Optional["batch_probe.BatchProbeEngine"] = None,
 ) -> Dict[str, float]:
     """Critical-delay sensitivity ``dT_crit/dC_IN`` per gate (ps/fF).
 
     The circuit-level analogue of :func:`~repro.timing.evaluation.
     delay_gradient`: each gate is perturbed by a central difference and
-    the circuit is re-timed.  Every probe touches exactly one gate, so
-    the two probes per gate become two *columns* of one cone-sparse
-    batch propagation (:class:`~repro.timing.batch_probe.
-    BatchProbeEngine`) when there are enough of them; below
-    ``min_batch_columns`` columns (default :data:`~repro.timing.
-    batch_probe.BATCH_PROBE_MIN_COLUMNS`) the warm-started
-    :class:`~repro.timing.incremental.IncrementalSta` loop wins and is
-    kept.  Both paths are bit-identical -- two cone re-timings per gate
-    either way (the Table 1 CPU-time story, applied to sensitivity
-    analysis).
+    the circuit is re-timed by the warm-started
+    :class:`~repro.timing.incremental.IncrementalSta` -- two cone
+    re-timings per gate, not two full analyses (the Table 1 CPU-time
+    story, applied to sensitivity analysis).
 
     A caller-supplied ``engine`` (already tracking ``circuit``) is used
-    in place on the scalar path and supplies the batch path's boundary
-    conditions; it is left on the unperturbed sizing either way.  A
-    caller-supplied ``probe_engine`` (e.g. the
-    :meth:`~repro.api.session.Session.probe_engine` cache) must have
-    been built with matching boundary conditions; it is re-bound to
-    ``circuit``'s current sizing here.  Gates outside the critical cone
-    report 0.0.
+    in place and left on the unperturbed sizing.  Gates outside the
+    critical cone report 0.0.
     """
     if rel_step <= 0:
         raise ValueError(f"rel_step must be positive, got {rel_step}")
-    if engine is not None and engine.circuit is not circuit:
-        raise ValueError("engine must track the probed circuit")
-    names = list(gates) if gates is not None else list(circuit.gates)
-
-    if batch_probe.should_batch(2 * len(names), min_batch_columns):
-        base_sizes = (
-            engine.sizes() if engine is not None else gate_sizes(circuit, library)
-        )
-        probes: List[Tuple[str, float]] = []
-        steps: List[float] = []
-        for name in names:
-            original = circuit.gate(name).cin_ff
-            base = original if original is not None else base_sizes[name]
-            h = max(abs(base) * rel_step, 1e-9)
-            probes.append((name, base + h))
-            probes.append((name, base - h))
-            steps.append(h)
-        if probe_engine is None:
-            kwargs = {}
-            if engine is not None:
-                kwargs = dict(
-                    input_transition_ps=engine.input_transition_ps,
-                    output_load_ff=engine.output_load_ff,
-                    wire_model=engine.wire_model,
-                )
-            probe_engine = batch_probe.BatchProbeEngine(circuit, library, **kwargs)
-        else:
-            probe_engine.bind(circuit)
-        delays = probe_engine.sizing_delays(probes)
-        return {
-            name: (delays[2 * i] - delays[2 * i + 1]) / (2.0 * h)
-            for i, (name, h) in enumerate(zip(names, steps))
-        }
-
     if engine is None:
         engine = IncrementalSta(circuit, library)
+    elif engine.circuit is not circuit:
+        raise ValueError("engine must track the probed circuit")
+    names = list(gates) if gates is not None else list(circuit.gates)
     base_sizes = engine.sizes()
     sensitivities: Dict[str, float] = {}
     for name in names:

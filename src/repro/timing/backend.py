@@ -1,12 +1,11 @@
 """Pluggable delay-model backends: the seam under every evaluator.
 
-The repo's four bit-exact evaluators -- the scalar
+The repo's three bit-exact evaluators -- the scalar
 :func:`~repro.timing.sta.analyze`, the warm
-:class:`~repro.timing.incremental.IncrementalSta`, the Monte-Carlo batch
-kernel (:func:`repro.mc.kernel.batch_analyze`) and the cone-sparse
-:class:`~repro.timing.batch_probe.BatchProbeEngine` -- historically
+:class:`~repro.timing.incremental.IncrementalSta` and the Monte-Carlo
+batch kernel (:func:`repro.mc.kernel.batch_analyze`) -- historically
 hard-wired the paper's analytic eq. 1-3 model.  A
-:class:`DelayBackend` lifts that model behind an interface with three
+:class:`DelayBackend` lifts that model behind an interface with two
 surfaces:
 
 * **scalar** -- :meth:`DelayBackend.gate_timing`, the single-arc kernel
@@ -15,10 +14,7 @@ surfaces:
 * **batch** -- :meth:`DelayBackend.compile_model`, a per-compilation
   :class:`BatchDelayModel` that folds per-gate constants into
   :class:`~repro.mc.compile.CompiledCircuit` arrays and propagates whole
-  levels over ``(gates, corners)`` arrays;
-* **probe** -- :meth:`DelayBackend.probe_model`, a
-  :class:`ProbeDelayModel` evaluating ``(gate, column)`` pair groups for
-  the cone-sparse candidate engine.
+  levels over ``(gates, corners)`` arrays.
 
 Capabilities (:class:`BackendCapabilities`) tell the optimizer stack
 what a backend can promise: ``closed_form_bounds`` gates the eq. 4/6
@@ -29,17 +25,16 @@ speed-scale approximation (tables).
 
 Bit-exactness contract
 ----------------------
-Within one backend, all four evaluators agree bit for bit: every
+Within one backend, all three evaluators agree bit for bit: every
 implementation must evaluate the same arithmetic in the same operation
-order on its scalar, batch and probe surfaces.  *Across* backends no
+order on its scalar and batch surfaces.  *Across* backends no
 bit-level relationship is promised -- an NLDM table characterised from
 the analytic model agrees only to interpolation accuracy.  The
 :class:`AnalyticBackend` delegates straight to
 :func:`~repro.timing.delay_model.gate_delay` and to the pre-existing
-batch kernels, so refactoring the consumers through this seam changed
+batch kernel, so refactoring the consumers through this seam changed
 no float anywhere (pinned by the equivalence ladder in
-``tests/test_mc.py`` / ``tests/test_batch_probe.py`` /
-``tests/test_backend_parity.py``).
+``tests/test_mc.py`` / ``tests/test_backend_parity.py``).
 """
 
 from __future__ import annotations
@@ -57,7 +52,6 @@ from repro.timing.delay_model import Edge, GateTiming, gate_delay
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type names
     from repro.mc.compile import CompiledCircuit
     from repro.mc.corners import CornerSamples
-    from repro.timing.batch_probe import BatchProbeEngine
 
 
 @dataclass(frozen=True)
@@ -118,80 +112,10 @@ class BatchDelayModel(ABC):
         """
 
 
-class ProbeDelayModel(ABC):
-    """Per-engine probe surface of one backend.
-
-    Created by :meth:`DelayBackend.probe_model` for one
-    :class:`~repro.timing.batch_probe.BatchProbeEngine`.  The engine
-    keeps the backend-independent machinery (cones, column schedule,
-    chunking, the dense base backing); the model owns every eq. 1-3
-    (or table-lookup) float: per-pair parameters, the per-level group
-    evaluation, and the trial buffer-pair chaining.
-    """
-
-    @abstractmethod
-    def bind(self, engine: "BatchProbeEngine") -> None:
-        """Capture the per-gate base parameters of the bound sizing."""
-
-    @abstractmethod
-    def chunk_params(
-        self,
-        pair_g: np.ndarray,
-        over_pos: np.ndarray,
-        over_cin: np.ndarray,
-        over_load: np.ndarray,
-    ) -> Tuple[np.ndarray, ...]:
-        """Per-pair parameter arrays for one chunk's flat schedule.
-
-        Base values are gathered at ``pair_g`` and the overridden
-        ``(cin, load)`` pairs are scattered at ``over_pos``.  Every
-        returned array is 1-D over pairs, so the engine can re-order
-        all of them with the level argsort generically.
-        """
-
-    @abstractmethod
-    def eval_group(
-        self,
-        params: Tuple[np.ndarray, ...],
-        gs: int,
-        ge: int,
-        g: np.ndarray,
-        rows: np.ndarray,
-        mask: np.ndarray,
-        cc: np.ndarray,
-        time_rise: np.ndarray,
-        time_fall: np.ndarray,
-        tran_rise: np.ndarray,
-        tran_fall: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Arrivals/transitions of one level group of ``(gate, column)`` pairs.
-
-        Returns ``(t_rise, t_fall, tr_rise, tr_fall)`` for pairs
-        ``gs:ge`` (already polarity-swapped for inverting cells); the
-        engine scatters them onto the chunk backing.
-        """
-
-    @abstractmethod
-    def pair_constants(self, pair_cin: float) -> Tuple:
-        """Column-independent terms of a trial pair's first inverter."""
-
-    @abstractmethod
-    def through_pair(
-        self,
-        consts: Tuple,
-        t_rise_g: np.ndarray,
-        t_fall_g: np.ndarray,
-        tr_rise_g: np.ndarray,
-        tr_fall_g: np.ndarray,
-        load_b: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Chain a candidate's output through both trial inverters."""
-
-
 class DelayBackend(ABC):
     """A pluggable gate-delay model.
 
-    Implementations must keep their scalar, batch and probe surfaces
+    Implementations must keep their scalar and batch surfaces
     bit-identical to each other (see the module docstring); the
     analytic reference lives here, the NLDM table backend in
     :mod:`repro.liberty.nldm`.
@@ -223,18 +147,14 @@ class DelayBackend(ABC):
     def compile_model(self, compiled: "CompiledCircuit") -> BatchDelayModel:
         """Build the batch surface for one compiled structure."""
 
-    @abstractmethod
-    def probe_model(self, engine: "BatchProbeEngine") -> ProbeDelayModel:
-        """Build the probe surface for one batch-probe engine."""
-
 
 class AnalyticBackend(DelayBackend):
     """The paper's closed-form eq. 1-3 model behind the backend seam.
 
-    Every surface delegates to the pre-existing kernels --
-    :func:`~repro.timing.delay_model.gate_delay`, the mc level loop,
-    the batch-probe pair math -- so the analytic stack through the seam
-    is bit-identical to the pre-seam code, float for float.
+    Both surfaces delegate to the pre-existing kernels --
+    :func:`~repro.timing.delay_model.gate_delay` and the mc level loop
+    -- so the analytic stack through the seam is bit-identical to the
+    pre-seam code, float for float.
     """
 
     capabilities = BackendCapabilities(
@@ -262,12 +182,6 @@ class AnalyticBackend(DelayBackend):
         from repro.mc.kernel import AnalyticBatchModel
 
         return AnalyticBatchModel(compiled)
-
-    def probe_model(self, engine: "BatchProbeEngine") -> ProbeDelayModel:
-        """The batch-probe analytic pair math (lazy import: no cycle)."""
-        from repro.timing.batch_probe import AnalyticProbeModel
-
-        return AnalyticProbeModel(engine)
 
 
 #: The shared analytic backend instance: libraries built without an

@@ -2,14 +2,13 @@
 
 Two contracts are pinned here (see ``repro/timing/backend.py``):
 
-* **Within one backend** the four evaluators -- scalar
+* **Within one backend** the three evaluators -- scalar
   :func:`~repro.timing.sta.analyze`, warm
-  :class:`~repro.timing.incremental.IncrementalSta`, the Monte-Carlo
-  batch kernel and the cone-sparse
-  :class:`~repro.timing.batch_probe.BatchProbeEngine` -- agree *bit for
-  bit* on every CORE circuit under randomized sizings.  The ladder runs
-  identically for the analytic backend and for the NLDM backend loaded
-  from the committed sample ``.lib``.
+  :class:`~repro.timing.incremental.IncrementalSta` and the Monte-Carlo
+  batch kernel -- agree *bit for bit* on every CORE circuit under
+  randomized sizings.  The ladder runs identically for the analytic
+  backend and for the NLDM backend loaded from the committed sample
+  ``.lib``.
 * **Across backends** no bit-level relationship is promised, but the
   sample library was characterised *from* the analytic model, so at the
   table grid nodes the two backends must agree exactly -- the anchor
@@ -23,31 +22,22 @@ that keeps two backends from aliasing each other's artefacts.
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.api import Job, JobError, Session
 from repro.api.records import RunRecord
-from repro.buffering.netlist_insertion import trial_buffer_pairs
 from repro.cells.library import default_library
 from repro.liberty import export_library, library_from_lib, parse_liberty
 from repro.liberty.tables import NldmTables
 from repro.mc.compile import compile_circuit
 from repro.mc.corners import nominal_corners
 from repro.mc.kernel import batch_analyze
-from repro.timing.backend import backend_fo4
-from repro.timing.batch_probe import BatchProbeEngine
+from repro.timing.backend import ANALYTIC_BACKEND, DelayBackend, backend_fo4
 from repro.timing.delay_model import Edge, fanout_four_delay, gate_delay
 from repro.timing.incremental import IncrementalSta
 from repro.timing.sta import analyze
 
-from test_batch_probe import (
-    CORE_CIRCUITS,
-    _central_probes,
-    _randomly_sized,
-    _sample_gates,
-    _scalar_sizing_delays,
-)
+from test_mc import CORE_CIRCUITS, _randomly_sized
 
 SAMPLE_LIB = os.path.join(
     os.path.dirname(__file__), "..", "examples", "sample_nldm.lib"
@@ -69,8 +59,8 @@ def backend_lib(request, nldm_lib):
     return nldm_lib
 
 
-class TestFourEvaluatorLadder:
-    """scalar == incremental == batch kernel == batch probe, per backend."""
+class TestThreeEvaluatorLadder:
+    """scalar == incremental == batch kernel, per backend."""
 
     @pytest.mark.parametrize("name", CORE_CIRCUITS)
     def test_all_evaluators_agree(self, name, backend_lib):
@@ -94,30 +84,25 @@ class TestFourEvaluatorLadder:
                 assert batch.arrival(net, edge)[0] == event.time_ps
                 assert batch.transition(net, edge)[0] == event.transition_ps
 
-        pe = BatchProbeEngine(circuit, lib)
-        assert pe.critical_delay_base_ps == oracle.critical_delay_ps
 
-    @pytest.mark.parametrize("name", ("c432", "c880"))
-    def test_probe_surfaces_match_scalar(self, name, backend_lib):
-        lib = backend_lib
-        circuit = _randomly_sized(name, lib, seed=13)
-        engine = IncrementalSta(circuit, lib)
-        pe = BatchProbeEngine(circuit, lib)
+class TestDelayBackendSurface:
+    def test_scalar_and_batch_surfaces_suffice(self):
+        """A backend needs only its identity, scalar and batch surfaces."""
 
-        probes = _central_probes(circuit, _sample_gates(circuit, 24))
-        assert np.array_equal(
-            pe.sizing_delays(probes),
-            _scalar_sizing_delays(circuit, engine, probes),
-        )
+        class Delegating(DelayBackend):
+            capabilities = ANALYTIC_BACKEND.capabilities
 
-        candidates = _sample_gates(circuit, 16, seed=31)
-        scalar = trial_buffer_pairs(
-            circuit, lib, candidates, engine=engine, min_batch_columns=10**9
-        )
-        assert np.array_equal(
-            pe.buffer_pair_delays(candidates),
-            np.array([scalar[c] for c in candidates]),
-        )
+            def cache_token(self):
+                return ("delegating",)
+
+            def gate_timing(self, *args):
+                return ANALYTIC_BACKEND.gate_timing(*args)
+
+            def compile_model(self, compiled):
+                return ANALYTIC_BACKEND.compile_model(compiled)
+
+        backend = Delegating()
+        assert backend.cache_token() == ("delegating",)
 
 
 class TestNldmAnchors:
@@ -190,7 +175,7 @@ class TestSessionBackendIdentity:
         s_nldm = Session(library=nldm_lib)
         for attr in (
             "_benchmarks", "_sta_cache", "_engines", "_path_cache",
-            "_bounds_cache", "_compiled", "_probes",
+            "_bounds_cache", "_compiled",
         ):
             setattr(s_nldm, attr, getattr(s_analytic, attr))
 

@@ -6,7 +6,7 @@ The acceptance surface of the observability layer:
 * a disabled NullTracer default that records nothing and costs one
   attribute check on hot paths;
 * one MetricsRegistry schema unifying the pre-existing ad-hoc stat
-  surfaces (caches, incremental STA, batch-probe dispatch, serve);
+  surfaces (caches, incremental STA, serve);
 * optimizer telemetry riding the RunRecord envelope without touching
   any byte-stability contract (traced == untraced payloads);
 * the ``pops trace`` renderers.
@@ -145,25 +145,6 @@ class TestMetricsRegistry:
         assert hit_rate(3, 1) == 0.75
 
 
-class TestDispatchStats:
-    def test_should_batch_records_decisions(self):
-        from repro.timing.batch_probe import (
-            BATCH_PROBE_MIN_COLUMNS,
-            DISPATCH_STATS,
-            should_batch,
-        )
-
-        DISPATCH_STATS.reset()
-        assert should_batch(BATCH_PROBE_MIN_COLUMNS) is True
-        assert should_batch(1) is False
-        stats = DISPATCH_STATS.as_dict()
-        assert stats["batched"] == 1
-        assert stats["scalar"] == 1
-        assert stats["threshold"] == BATCH_PROBE_MIN_COLUMNS
-        assert stats["batch_ratio"] == 0.5
-        DISPATCH_STATS.reset()
-
-
 class TestTelemetry:
     def _sample(self):
         telemetry = OptimizerTelemetry(tc_ps=900.0, initial_delay_ps=1200.0)
@@ -280,7 +261,6 @@ class TestSessionIntegration:
         assert snap["schema"] == 1
         assert snap["sta"]["engines"] >= 1
         assert snap["sta"]["full_builds"] >= 1
-        assert snap["probe"]["threshold"] >= 1
         assert "benchmarks" in snap["session"]["caches"]
         json.dumps(snap)  # JSON-native end to end
 

@@ -462,6 +462,42 @@ class TestPoolSupervision:
         finally:
             executor.shutdown(wait=False)
 
+    def test_racing_threads_build_one_process_pool(self):
+        # Two heavy threads reach the lazily built pool at once.  A second
+        # pool would leak with its workers: shutdown() sees only one.
+        calls = []
+        second_caller = threading.Event()
+
+        def slow_factory(max_workers):
+            calls.append(max_workers)
+            if len(calls) > 1:
+                second_caller.set()
+            second_caller.wait(timeout=0.5)  # hold the build open
+            return InlinePool(max_workers)
+
+        executor = JobExecutor(
+            Session(), threads=1, heavy_threads=2, procs=1,
+            pool_factory=slow_factory,
+        )
+        barrier = threading.Barrier(2)
+        pools = []
+
+        def heavy():
+            barrier.wait(timeout=5)
+            pools.append(executor._process_pool())
+
+        threads = [threading.Thread(target=heavy) for _ in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=5)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(calls) == 1
+            assert len(pools) == 2 and pools[0] is pools[1]
+        finally:
+            executor.shutdown(wait=False)
+
 
 # -- batch / sweep runner supervision ----------------------------------
 

@@ -177,7 +177,6 @@ class TestSessionConcurrency:
         stats = session.cache_stats()
         assert set(stats["caches"]) == {
             "benchmarks", "sta", "engines", "paths", "bounds", "compiled",
-            "probes",
         }
         assert stats["counters"]["jobs_run"] == 1
 
