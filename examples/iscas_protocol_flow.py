@@ -46,10 +46,10 @@ def main(benchmark: str = "c432") -> None:
             f"{outcome.area_um:<11.0f}{outcome.feasible}"
         )
 
-    stats_dict = session.stats.as_dict()
-    print(f"\nsession caches   : {stats_dict['characterizations']} "
-          f"characterisation(s), {stats_dict['bounds_hits']} bounds hits, "
-          f"{stats_dict['path_hits']} extraction hits")
+    caches = session.cache_stats()["caches"]
+    print(f"\nsession caches   : {session.stats.characterizations} "
+          f"characterisation(s), {caches['bounds']['hits']} bounds hits, "
+          f"{caches['paths']['hits']} extraction hits")
     print(
         "\nReading the table: the weak constraint needs only sizing; as Tc"
         "\ntightens the protocol reaches for buffers, and below Tmin only a"

@@ -54,7 +54,10 @@ def main() -> None:
     print(f"\nrelaxed Tc       : {relaxed.extra['tc_ps']:7.1f} ps "
           f"-> method {relaxed.payload.method!r}, "
           f"area {relaxed.payload.area_um:.1f} um")
-    print(f"cache stats      : {session.stats.as_dict()}")
+    caches = session.cache_stats()["caches"]
+    print("cache hits/misses: " + ", ".join(
+        f"{name} {c['hits']}/{c['misses']}" for name, c in caches.items()
+    ))
 
     # An impossible constraint: the delay window says so up front,
     # instead of letting an iterative sizer loop forever (section 3.1).

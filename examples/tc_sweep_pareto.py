@@ -55,10 +55,10 @@ def main() -> None:
 
     # Session cache stats show the warm-start at work: one benchmark
     # parse, one bounds solve, one extraction -- not one per point.
-    stats = session.stats.as_dict()
-    print(f"cache stats  : bounds_misses={stats['bounds_misses']}, "
-          f"path_misses={stats['path_misses']}, "
-          f"jobs_run={stats['jobs_run']}")
+    caches = session.cache_stats()["caches"]
+    print(f"cache stats  : bounds_misses={caches['bounds']['misses']}, "
+          f"path_misses={caches['paths']['misses']}, "
+          f"jobs_run={session.stats.jobs_run}")
 
 
 if __name__ == "__main__":

@@ -60,9 +60,9 @@ def main() -> None:
 
     # The compiled struct-of-arrays form is cached per structure: three
     # sizings of one netlist share one compilation.
-    stats = session.stats.as_dict()
-    print(f"\ncompilations : {stats['compile_misses']} "
-          f"({stats['compile_hits']} sizings re-bound)")
+    compiled = session.cache_stats()["caches"]["compiled"]
+    print(f"\ncompilations : {compiled['misses']} "
+          f"({compiled['hits']} sizings re-bound)")
     print("guard band   : p99 / nominal -- the margin a variation-blind "
           "flow must add")
 

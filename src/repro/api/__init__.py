@@ -29,12 +29,7 @@ from repro.api.records import (
     RecordError,
     RunRecord,
 )
-from repro.api.session import (
-    Session,
-    SessionStats,
-    circuit_state_key,
-    circuit_structure_key,
-)
+from repro.api.session import Session, SessionStats
 
 __all__ = [
     "BoundedCache",
@@ -55,6 +50,4 @@ __all__ = [
     "KIND_MC",
     "Session",
     "SessionStats",
-    "circuit_state_key",
-    "circuit_structure_key",
 ]

@@ -19,20 +19,19 @@ Operations take a declarative :class:`~repro.api.job.Job` and return a
 :class:`~repro.api.records.RunRecord` -- a serializable envelope that the
 CLI renders, campaigns archive, and the batch runner ships across process
 boundaries.  :meth:`Session.optimize_many` is the scale-out surface: a
-``concurrent.futures`` process pool with a transparent serial fallback,
-guaranteed to produce payloads byte-identical to the serial loop.
+supervised process pool (:class:`~repro.resilience.pool.PoolSupervisor`)
+with a transparent serial fallback, guaranteed to produce payloads
+byte-identical to the serial loop.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.activity import estimate_activity
 from repro.analysis.area import circuit_area_um
@@ -56,68 +55,27 @@ from repro.iscas.loader import load_benchmark
 from repro.mc.compile import CompiledCircuit
 from repro.mc.result import McResult, mc_analyze
 from repro.netlist.circuit import Circuit
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Stopwatch, Tracer
 from repro.process.technology import Technology
 from repro.protocol.optimizer import WarmStart, optimize_circuit, optimize_path
+from repro.resilience.pool import RETRY_ONCE, PoolSupervisor, PoolUnavailable
 from repro.sizing.bounds import DelayBounds, delay_bounds
 from repro.timing.critical_paths import ExtractedPath, critical_path
 from repro.timing.incremental import IncrementalSta
 from repro.timing.sta import StaResult
 
-#: Circuit state key: structure plus sizing, hashable.
-StateKey = Tuple
-
-log = logging.getLogger("repro.session")
-
 
 @dataclass
 class SessionStats:
-    """Cache behaviour counters (observability for the scale-out story)."""
+    """Work counters; cache hits and misses live on each cache."""
 
     characterizations: int = 0
-    benchmark_hits: int = 0
-    benchmark_misses: int = 0
-    sta_hits: int = 0
-    sta_misses: int = 0
-    sta_incremental: int = 0
-    path_hits: int = 0
-    path_misses: int = 0
-    bounds_hits: int = 0
-    bounds_misses: int = 0
-    compile_hits: int = 0
-    compile_misses: int = 0
     jobs_run: int = 0
-    # Process-pool supervision (see optimize_many): broken-pool events,
-    # fresh-pool retries, and batches that fell back to the serial loop.
-    pool_broken: int = 0
-    pool_retries: int = 0
-    pool_fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view for logging."""
         return dict(self.__dict__)
-
-
-def circuit_state_key(circuit: Circuit) -> StateKey:
-    """A hashable fingerprint of a circuit's structure *and* sizing.
-
-    Any mutation that can change timing -- topology, gate kinds, fan-in
-    order, per-gate sizes -- changes the key, so memoized STA/extraction
-    results can never go stale: a circuit mutated *after* an analysis was
-    cached simply presents a new key and gets a fresh analysis (see the
-    session-invalidation tests).
-    """
-    return circuit.state_key()
-
-
-def circuit_structure_key(circuit: Circuit) -> StateKey:
-    """The sizing-free prefix of :func:`circuit_state_key`.
-
-    Two circuits with the same structure key differ at most in per-gate
-    ``cin_ff`` values -- exactly the precondition for re-timing one from
-    the other with an incremental cone update instead of a full STA.
-    """
-    return circuit.structure_key()
 
 
 class Session:
@@ -194,6 +152,8 @@ class Session:
         self.cache_limit = cache_limit
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = SessionStats()
+        #: ``resilience.*`` counters of the batch and sweep process pools.
+        self.metrics = MetricsRegistry()
         # Library/backend identity prefixed onto every circuit-keyed
         # cache key: two sessions over different libraries (or backends)
         # can never alias each other's derived artefacts, even through a
@@ -276,25 +236,41 @@ class Session:
                     self._flimits = default_flimits(self._library)
         return self._flimits
 
+    def _memo(
+        self,
+        cache: BoundedCache,
+        key: Any,
+        build: Callable[[], Any],
+        lock_key: Any = None,
+    ) -> Any:
+        """``cache[key]``, built by ``build()`` once per miss.
+
+        One counted lookup; a miss takes the populate lock of ``lock_key``
+        (default ``key``) and re-checks with an uncounted ``peek``, so N
+        threads missing on one key build it once and every call counts
+        exactly one hit or miss.
+        """
+        with self._lock:
+            value = cache.get(key)
+        if value is not None:
+            return value
+        with self._populate_lock(cache.name, key if lock_key is None else lock_key):
+            with self._lock:
+                value = cache.peek(key)
+            if value is None:
+                value = build()
+                with self._lock:
+                    cache[key] = value
+        return value
+
     def benchmark(self, name: str, bench_dir: Optional[str] = None) -> Circuit:
         """A fresh copy of a registered benchmark, parsed/generated once."""
         directory = bench_dir if bench_dir is not None else self.bench_dir
-        key = (name, directory)
-        with self._lock:
-            master = self._benchmarks.get(key)
-        if master is None:
-            with self._populate_lock("benchmark", key):
-                with self._lock:
-                    master = self._benchmarks.peek(key)
-                if master is None:
-                    self.stats.benchmark_misses += 1
-                    master = load_benchmark(name, bench_dir=directory)
-                    with self._lock:
-                        self._benchmarks[key] = master
-                else:
-                    self.stats.benchmark_hits += 1
-        else:
-            self.stats.benchmark_hits += 1
+        master = self._memo(
+            self._benchmarks,
+            (name, directory),
+            lambda: load_benchmark(name, bench_dir=directory),
+        )
         return master.copy()
 
     def sta(self, circuit: Circuit) -> StaResult:
@@ -305,96 +281,60 @@ class Session:
         the mutated circuit misses the result cache.  The miss is then
         served by an :class:`~repro.timing.incremental.IncrementalSta`
         engine cached per *structure* hash -- a pure re-sizing re-times
-        only the changed fan-out cones (``stats.sta_incremental``), a
+        only the changed fan-out cones (an ``engines`` cache hit), a
         structural edit builds a fresh engine; either way the payload is
         bit-identical to a from-scratch analysis.
         """
-        key = (self._fp, circuit_state_key(circuit))
-        with self._lock:
-            cached = self._sta_cache.get(key)
-        if cached is not None:
-            self.stats.sta_hits += 1
-            return cached
-        skey = (self._fp, circuit_structure_key(circuit))
+        skey = (self._fp, circuit.structure_key())
         # The populate lock is per *structure*: the incremental engine is
         # shared mutable state, so two different sizings of one netlist
         # must not drive it concurrently.
-        with self._populate_lock("sta", skey):
+        return self._memo(
+            self._sta_cache,
+            (self._fp, circuit.state_key()),
+            lambda: self._retime(circuit, skey),
+            lock_key=skey,
+        )
+
+    def _retime(self, circuit: Circuit, skey: Any) -> StaResult:
+        """Time ``circuit`` on its structure's engine (``skey``'s lock held)."""
+        with self._lock:
+            engine = self._engines.get(skey)
+        if engine is None:
+            # The engine owns a private copy: later caller-side
+            # mutations cannot desynchronise its cached annotation.
+            engine = IncrementalSta(circuit.copy(), self._library)
             with self._lock:
-                cached = self._sta_cache.peek(key)
-            if cached is not None:
-                self.stats.sta_hits += 1
-                return cached
-            self.stats.sta_misses += 1
-            with self._lock:
-                engine = self._engines.get(skey)
-            if engine is None:
-                # The engine owns a private copy: later caller-side
-                # mutations cannot desynchronise its cached annotation.
-                engine = IncrementalSta(circuit.copy(), self._library)
-                with self._lock:
-                    self._engines[skey] = engine
-                result = engine.result()
-            else:
-                # Refresh the tracer attachment on every reuse: the
-                # session's tracer decides whether this update emits
-                # ``sta.update`` events, and a stale attachment from an
-                # earlier traced run must not outlive it.
-                engine.tracer = self.tracer if self.tracer.enabled else None
-                changed = []
-                for name, gate in circuit.gates.items():
-                    own = engine.circuit.gates[name]
-                    if own.cin_ff != gate.cin_ff:
-                        own.cin_ff = gate.cin_ff
-                        changed.append(name)
-                result = engine.update(changed)
-                self.stats.sta_incremental += 1
-            with self._lock:
-                self._sta_cache[key] = result
-        return result
+                self._engines[skey] = engine
+            return engine.result()
+        # Refresh the tracer attachment on every reuse: the session's
+        # tracer decides whether this update emits ``sta.update`` events,
+        # and a stale attachment from an earlier traced run must not
+        # outlive it.
+        engine.tracer = self.tracer if self.tracer.enabled else None
+        changed = []
+        for name, gate in circuit.gates.items():
+            own = engine.circuit.gates[name]
+            if own.cin_ff != gate.cin_ff:
+                own.cin_ff = gate.cin_ff
+                changed.append(name)
+        return engine.update(changed)
 
     def critical_path(self, circuit: Circuit) -> ExtractedPath:
         """Critical-path extraction, memoized on the circuit state hash."""
-        key = (self._fp, circuit_state_key(circuit))
-        with self._lock:
-            cached = self._path_cache.get(key)
-        if cached is not None:
-            self.stats.path_hits += 1
-            return cached
-        with self._populate_lock("path", key):
-            with self._lock:
-                cached = self._path_cache.peek(key)
-            if cached is not None:
-                self.stats.path_hits += 1
-                return cached
-            self.stats.path_misses += 1
-            extracted = critical_path(
-                circuit, self._library, sta=self.sta(circuit)
-            )
-            with self._lock:
-                self._path_cache[key] = extracted
-        return extracted
+        return self._memo(
+            self._path_cache,
+            (self._fp, circuit.state_key()),
+            lambda: critical_path(circuit, self._library, sta=self.sta(circuit)),
+        )
 
     def path_bounds(self, circuit: Circuit) -> DelayBounds:
         """Critical-path ``(Tmin, Tmax)`` window, memoized per state."""
-        key = (self._fp, circuit_state_key(circuit))
-        with self._lock:
-            cached = self._bounds_cache.get(key)
-        if cached is not None:
-            self.stats.bounds_hits += 1
-            return cached
-        with self._populate_lock("bounds", key):
-            with self._lock:
-                cached = self._bounds_cache.peek(key)
-            if cached is not None:
-                self.stats.bounds_hits += 1
-                return cached
-            self.stats.bounds_misses += 1
-            extracted = self.critical_path(circuit)
-            bounds = delay_bounds(extracted.path, self._library)
-            with self._lock:
-                self._bounds_cache[key] = bounds
-        return bounds
+        return self._memo(
+            self._bounds_cache,
+            (self._fp, circuit.state_key()),
+            lambda: delay_bounds(self.critical_path(circuit).path, self._library),
+        )
 
     def compiled(self, circuit: Circuit) -> CompiledCircuit:
         """Batch-engine compilation, memoized on the circuit *structure*.
@@ -407,7 +347,7 @@ class Session:
         means the returned object always reflects ``circuit``'s
         *current* sizes -- stale bindings are impossible.
         """
-        key = (self._fp, circuit_structure_key(circuit))
+        key = (self._fp, circuit.structure_key())
         # Per-structure lock: ``bind`` rewrites the sizing arrays of a
         # shared object, so concurrent binds of different sizings must
         # serialize (``mc`` holds this same key around its whole batch
@@ -416,12 +356,10 @@ class Session:
             with self._lock:
                 comp = self._compiled.get(key)
             if comp is None:
-                self.stats.compile_misses += 1
                 comp = CompiledCircuit(circuit, self._library)
                 with self._lock:
                     self._compiled[key] = comp
             else:
-                self.stats.compile_hits += 1
                 comp.bind(circuit)
         return comp
 
@@ -447,7 +385,8 @@ class Session:
         rates and the eviction total at the top level so dashboards need
         not walk the nested dicts.  This is the surface the serving
         layer's ``status`` endpoint and ``pops status`` expose;
-        ``counters`` echoes :attr:`stats`.
+        ``counters`` merges :attr:`stats` with the ``resilience.*``
+        counters of :attr:`metrics`.
         """
         with self._lock:
             caches = {
@@ -470,7 +409,10 @@ class Session:
                 "evictions": sum(
                     stats["evictions"] for stats in caches.values()
                 ),
-                "counters": self.stats.as_dict(),
+                "counters": {
+                    **self.stats.as_dict(),
+                    **self.metrics.snapshot()["counters"],
+                },
             }
 
     # -- job plumbing --------------------------------------------------
@@ -695,7 +637,7 @@ class Session:
             # sizing of the same netlist must wait (the inner
             # ``compiled`` call re-enters the same RLock).
             with self._populate_lock(
-                "compiled", (self._fp, circuit_structure_key(circuit))
+                "compiled", (self._fp, circuit.structure_key())
             ):
                 result: McResult = mc_analyze(
                     circuit,
@@ -736,10 +678,11 @@ class Session:
 
         ``workers`` at ``None``/``0``/``1`` runs the plain serial loop
         (sharing every session cache).  Higher values fan the jobs out to
-        a ``concurrent.futures`` process pool seeded with this session's
-        library and (already characterised) Flimit table; environments
-        where subprocesses are unavailable fall back to the serial loop
-        transparently.  Record payloads are byte-identical between the
+        a supervised process pool seeded with this session's library and
+        (already characterised) Flimit table: a worker crash re-runs the
+        batch once on a fresh pool, and a second crash or an environment
+        without subprocesses falls back to the serial loop, counted on
+        :attr:`metrics`.  Record payloads are byte-identical between the
         two paths; only the timing metadata differs.
         """
         job_list = list(jobs)
@@ -750,76 +693,42 @@ class Session:
         # pool path ship (and echo) byte-identical job dicts.
         job_list = [self._prepare_job(job) for job in job_list]
         if workers and workers > 1 and len(job_list) > 1:
-            # Two distinct failure classes (never conflated -- the old
-            # bare `except POOL_ERRORS: pass` hid crashed workers behind
-            # the no-subprocess fallback):
-            #
-            # * transport/import errors mean this environment cannot run
-            #   subprocesses at all -- fall back to serial immediately;
-            # * BrokenProcessPool means a *worker died mid-batch* (OOM
-            #   kill, segfault, injected crash).  The batch is safe to
-            #   re-run -- jobs are pure functions of their specs -- so
-            #   retry once on a fresh pool before surrendering to serial.
-            #
-            # Job failures never land here: workers marshal them back
-            # and _optimize_parallel re-raises the original exception.
-            for attempt in (0, 1):
-                try:
-                    return self._optimize_parallel(job_list, workers)
-                except BrokenProcessPool as exc:
-                    self.stats.pool_broken += 1
-                    if attempt == 0:
-                        self.stats.pool_retries += 1
-                        log.warning(
-                            "optimize_many: worker crashed mid-batch (%s); "
-                            "retrying once on a fresh pool",
-                            exc,
-                        )
-                        continue
-                    log.error(
-                        "optimize_many: pool broke again on retry (%s); "
-                        "falling back to the serial loop",
-                        exc,
-                    )
-                    break
-                except (OSError, ImportError) as exc:
-                    # Process pools need working semaphores / fork
-                    # support; restricted environments (sandboxes, some
-                    # CI runners) deny them -- the serial path is always
-                    # available.
-                    log.warning(
-                        "optimize_many: process pool unavailable (%s); "
-                        "running the batch serially",
-                        exc,
-                    )
-                    break
-            self.stats.pool_fallbacks += 1
+            tasks = [
+                (self._library, self.flimits(), self.bench_dir, job.to_dict())
+                for job in job_list
+            ]
+
+            def on_pool(pool: Any) -> List[Dict]:
+                futures = [pool.submit(_optimize_job_worker, t) for t in tasks]
+                return [future.result() for future in futures]
+
+            try:
+                with PoolSupervisor(
+                    min(workers, len(job_list)), RETRY_ONCE, self.metrics
+                ) as supervisor:
+                    outcomes = supervisor.run(on_pool)
+            except PoolUnavailable:
+                pass
+            else:
+                # Workers marshal job failures back, so a job's own
+                # OSError never looks like a transport failure.
+                for outcome in outcomes:
+                    if JOB_ERROR_KEY in outcome:
+                        raise outcome[JOB_ERROR_KEY]
+                self.stats.jobs_run += len(outcomes)
+                return [
+                    RunRecord.from_dict(d, library=self._library)
+                    for d in outcomes
+                ]
         return [self.optimize(job) for job in job_list]
 
-    def _optimize_parallel(self, jobs: Sequence[Job], workers: int) -> List[RunRecord]:
-        from concurrent.futures import ProcessPoolExecutor
 
-        limits = self.flimits()
-        tasks = [
-            (self._library, limits, self.bench_dir, job.to_dict()) for job in jobs
-        ]
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            outcomes = list(pool.map(_optimize_job_worker, tasks))
-        for outcome in outcomes:
-            if JOB_ERROR_KEY in outcome:
-                raise outcome[JOB_ERROR_KEY]
-        self.stats.jobs_run += len(jobs)
-        return [RunRecord.from_dict(d, library=self._library) for d in outcomes]
-
-
-#: Sentinel key a worker uses to marshal a job failure back to the parent
-#: (so pool-infrastructure errors stay distinguishable from job errors).
-#: Shared by every process-pool runner over sessions (the batch runner
-#: here and the sweep runner in :mod:`repro.explore`).
+#: Sentinel key a worker uses to marshal a job failure back to the parent,
+#: so that a job's own exception is never mistaken for pool breakage.
+#: Shared by every process-pool worker over sessions: the batch runner's
+#: and the serve executor's (:func:`_optimize_job_worker`) and the sweep
+#: runner's chunk worker in :mod:`repro.explore`.
 JOB_ERROR_KEY = "__pops_job_error__"
-
-#: Pool-infrastructure failures that trigger the serial fallback.
-POOL_ERRORS: Tuple[type, ...] = (OSError, ImportError, BrokenProcessPool)
 
 
 def worker_session(

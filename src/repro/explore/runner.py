@@ -13,10 +13,12 @@ payload byte (the determinism tests compare warm against cold runs):
   nearest already-solved neighbour (its predecessor in the sorted
   grid) and shares the pure-function ``Tmin``/extraction memos;
 * a chunked scheduler -- benchmark groups are independent, so they can
-  fan out over the same process-pool machinery as
-  :meth:`~repro.api.session.Session.optimize_many`, one warm chunk per
-  worker, with the identical serial fallback and byte-identical
-  payload guarantee.
+  fan out over a process pool, one warm chunk per worker, under the
+  same :class:`~repro.resilience.pool.PoolSupervisor` contract as
+  :meth:`~repro.api.session.Session.optimize_many`: a worker crash
+  re-runs the undelivered chunks once on a fresh pool, and a second
+  crash or an environment without subprocesses finishes the sweep
+  serially, with byte-identical payloads either way.
 
 With a :class:`~repro.explore.store.CampaignStore`, every completed
 point is journaled immediately and ``resume=True`` serves journaled
@@ -25,11 +27,9 @@ points from disk instead of recomputing them.
 
 from __future__ import annotations
 
-import logging
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.activity import ActivityReport, estimate_activity
 from repro.analysis.power import estimate_power
@@ -41,6 +41,7 @@ from repro.api.session import (
     worker_session,
 )
 from repro.resilience import faults
+from repro.resilience.pool import RETRY_ONCE, PoolSupervisor, PoolUnavailable
 from repro.cells.library import Library
 from repro.explore.store import CampaignError, CampaignStore
 from repro.explore.summary import SweepSummary, summarize
@@ -58,24 +59,6 @@ YIELD_SEED = 42
 
 #: Per-point progress callback: ``(done, total, label)``.
 ProgressFn = Callable[[int, int, str], None]
-
-log = logging.getLogger("repro.explore")
-
-
-class _ChunkJobError(Exception):
-    """Internal wrapper: a *job* failed inside a pool chunk.
-
-    Job errors can be arbitrary exceptions -- including ``OSError``
-    subclasses such as a missing ``.bench`` file -- so re-raising them
-    bare from the pool path would let them masquerade as
-    pool-infrastructure failures and trigger a pointless full serial
-    recompute before failing identically.  The wrapper keeps them out of
-    the pool-supervision fallbacks; the runner unwraps it at the boundary.
-    """
-
-    def __init__(self, original: BaseException) -> None:
-        super().__init__(str(original))
-        self.original = original
 
 
 @dataclass
@@ -195,54 +178,48 @@ def _sweep_chunk_worker(
 
 def _parallel_chunks(
     session: Session,
+    pool: Any,
     chunks: List[List[Job]],
-    workers: int,
     on_chunk: Callable[[int, List[RunRecord]], None],
-) -> None:
-    """Fan warm chunks out to a process pool, streaming completions.
+) -> Optional[BaseException]:
+    """Fan warm chunks out to ``pool``, streaming completions.
 
     ``on_chunk(chunk_index, records)`` fires as each chunk finishes --
     that call is the journaling commit point, so completed points hit
     the campaign store without waiting for slower chunks.  A chunk that
-    failed partway still delivers its completed prefix; the marshalled
-    job error is re-raised only after every chunk has been drained (and
-    journaled).  Pool-infrastructure errors propagate to the caller,
-    which falls back to the serial loop for whatever is not yet done.
+    failed partway still delivers its completed prefix.  The job error
+    of the lowest failed chunk index is *returned* once every chunk has
+    been drained (and journaled): the serial loop would have raised that
+    one, and returning it keeps a job's own ``OSError`` apart from the
+    pool breakage that propagates from here to the supervisor.
     """
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import as_completed
 
     limits = session.flimits()
-    first_error: Optional[BaseException] = None
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        futures = {
-            pool.submit(
-                _sweep_chunk_worker,
-                (
-                    session.library,
-                    limits,
-                    session.bench_dir,
-                    [job.to_dict() for job in chunk],
-                ),
-            ): index
-            for index, chunk in enumerate(chunks)
-        }
-        for future in as_completed(futures):
-            outcome = future.result()  # pool breakage raises here
-            records: List[RunRecord] = []
-            error: Optional[BaseException] = None
-            for entry in outcome:
-                if JOB_ERROR_KEY in entry:
-                    error = entry[JOB_ERROR_KEY]
-                    break
-                records.append(
-                    RunRecord.from_dict(entry, library=session.library)
-                )
-            on_chunk(futures[future], records)
-            session.stats.jobs_run += len(records)
-            if error is not None and first_error is None:
-                first_error = error
-    if first_error is not None:
-        raise _ChunkJobError(first_error)
+    errors: Dict[int, BaseException] = {}
+    futures = {
+        pool.submit(
+            _sweep_chunk_worker,
+            (
+                session.library,
+                limits,
+                session.bench_dir,
+                [job.to_dict() for job in chunk],
+            ),
+        ): index
+        for index, chunk in enumerate(chunks)
+    }
+    for future in as_completed(futures):
+        outcome = future.result()  # pool breakage raises here
+        records: List[RunRecord] = []
+        for entry in outcome:
+            if JOB_ERROR_KEY in entry:
+                errors[futures[future]] = entry[JOB_ERROR_KEY]
+                break
+            records.append(RunRecord.from_dict(entry, library=session.library))
+        on_chunk(futures[future], records)
+        session.stats.jobs_run += len(records)
+    return errors[min(errors)] if errors else None
 
 
 def _yield_for(
@@ -361,70 +338,36 @@ def run_sweep(
             progress(reported["n"], total, job.label or job.name)
 
     fresh: Dict[str, RunRecord] = {}
-    chunks = _chunks(pending, chunk_size)
-    if workers and workers > 1 and len(chunks) > 1:
-        # Pool supervision, same contract as Session.optimize_many: a
-        # transport/import error means "no subprocesses here" -- serial
-        # fallback, once, with a log line; a BrokenProcessPool means a
-        # worker *died mid-sweep* -- retry the not-yet-delivered chunks
-        # once on a fresh pool (delivered chunks are already journaled,
-        # so only the remainder re-runs) before surrendering to serial.
-        for attempt in (0, 1):
-            todo = _chunks(
-                [j for j in pending if (j.label or j.name) not in fresh],
-                chunk_size,
-            )
-            if not todo:
-                break
 
-            def on_chunk(
-                index: int,
-                records: List[RunRecord],
-                _todo: List[List[Job]] = todo,
-            ) -> None:
-                for job, record in zip(_todo[index], records):
-                    after_point(job, record)
-                    fresh[job.label or job.name] = record
+    def remaining() -> List[Job]:
+        return [job for job in pending if (job.label or job.name) not in fresh]
 
-            try:
-                _parallel_chunks(session, todo, workers, on_chunk)
-                break
-            except _ChunkJobError as exc:
-                # A job itself failed: completed points are journaled,
-                # the original exception surfaces (resume picks up from
-                # there).
-                raise exc.original
-            except BrokenProcessPool as exc:
-                session.stats.pool_broken += 1
-                if attempt == 0:
-                    session.stats.pool_retries += 1
-                    log.warning(
-                        "run_sweep: worker crashed mid-sweep (%s); "
-                        "retrying the remaining chunks on a fresh pool",
-                        exc,
-                    )
-                    continue
-                session.stats.pool_fallbacks += 1
-                log.error(
-                    "run_sweep: pool broke again on retry (%s); finishing "
-                    "the sweep serially",
-                    exc,
-                )
-                break
-            except (OSError, ImportError) as exc:
-                # Pool infrastructure failure: "no subprocesses here",
-                # not "job failed".  Chunks that did complete are
-                # already journaled; the serial loop below transparently
-                # picks up only the remainder.
-                session.stats.pool_fallbacks += 1
-                log.warning(
-                    "run_sweep: process pool unavailable (%s); finishing "
-                    "the sweep serially",
-                    exc,
-                )
-                break
-    remaining = [job for job in pending if (job.label or job.name) not in fresh]
-    for chunk in _chunks(remaining, chunk_size):
+    def on_pool(pool: Any) -> Optional[BaseException]:
+        # Called again on a fresh pool after a crash: delivered chunks
+        # are journaled already, so only the remainder re-runs.
+        todo = _chunks(remaining(), chunk_size)
+
+        def on_chunk(index: int, records: List[RunRecord]) -> None:
+            for job, record in zip(todo[index], records):
+                after_point(job, record)
+                fresh[job.label or job.name] = record
+
+        return _parallel_chunks(session, pool, todo, on_chunk)
+
+    n_chunks = len(_chunks(pending, chunk_size))
+    if workers and workers > 1 and n_chunks > 1:
+        try:
+            with PoolSupervisor(
+                min(workers, n_chunks), RETRY_ONCE, session.metrics
+            ) as supervisor:
+                error = supervisor.run(on_pool)
+        except PoolUnavailable:
+            pass  # the serial loop below finishes the remainder
+        else:
+            if error is not None:
+                # Completed points are journaled; resume picks up here.
+                raise error
+    for chunk in _chunks(remaining(), chunk_size):
         for record in _run_chunk(session, chunk, after_point=after_point):
             fresh[record.job.label or record.job.name] = record
 

@@ -8,11 +8,13 @@ dict.  Metric names are dotted, lowercase, ``<layer>.<thing>[.<unit>]``
 (see the Observability section in ``docs/ARCHITECTURE.md``).
 
 :func:`session_metrics` and :func:`serve_metrics` are the unification
-layer over the stack's pre-existing ad-hoc stat surfaces
-(``SessionStats``, ``BoundedCache.stats``, ``IncrementalSta.stats``,
-``ServeStats`` / queue / store): they *read* those surfaces -- no public
-field changes -- and assemble the one combined schema that the serve
-``metrics`` protocol op and ``pops status`` report.
+layer over the stack's stat surfaces (``Session.cache_stats()``, which
+merges ``SessionStats`` with the session registry's ``resilience.*``
+pool counters and carries each ``BoundedCache``'s hits and misses;
+``IncrementalSta.stats``; ``ServeStats`` / queue / store; the
+executor's resilience state): they *read* those surfaces and assemble
+the one combined schema that the serve ``metrics`` protocol op and
+``pops status`` report.
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ runner and the explore sweep runner:
 * :class:`~repro.resilience.breaker.CircuitBreaker` -- trips the serve
   executor to in-thread execution after K consecutive process-pool
   failures and half-open-probes recovery;
+* :class:`~repro.resilience.pool.PoolSupervisor` -- the one process-pool
+  supervisor (crash retry, permanent disable, in-thread give-up via
+  :class:`~repro.resilience.pool.PoolUnavailable`) behind serve, the
+  batch runner and the sweep runner;
 * :mod:`~repro.resilience.faults` -- the deterministic fault-injection
   harness (:class:`~repro.resilience.faults.FaultPlan`, named sites,
   ``POPS_FAULT_PLAN`` env hook) every chaos test drives.
@@ -22,6 +26,7 @@ failure taxonomy and the retry/breaker defaults.
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultPlan, FaultSpec, InlinePool
 from repro.resilience.policy import JobTimeoutError, RetryPolicy
+from repro.resilience.pool import PoolSupervisor, PoolUnavailable
 
 __all__ = [
     "CircuitBreaker",
@@ -29,5 +34,7 @@ __all__ = [
     "FaultSpec",
     "InlinePool",
     "JobTimeoutError",
+    "PoolSupervisor",
+    "PoolUnavailable",
     "RetryPolicy",
 ]

@@ -7,13 +7,13 @@ how to run every submit kind against the shared session:
   cache-warm after the first tenant (memoized extraction, compiled
   circuits, batch kernels) and release the GIL into numpy for the heavy
   part, so threads are the right grain;
-* **heavy pool** (threads, optionally escalating to the existing
-  process-pool machinery): ``optimize`` and ``sweep``, the CPU-bound
-  protocol runs.  With ``procs > 0`` single optimizations ship to a
-  ``ProcessPoolExecutor`` via the same worker entry
+* **heavy pool** (threads, optionally escalating to a process pool):
+  ``optimize`` and ``sweep``, the CPU-bound protocol runs.  With
+  ``procs > 0`` single optimizations ship to the executor's supervised
+  process pool via the same worker entry
   (:func:`repro.api.session._optimize_job_worker`) the batch runner
   uses -- byte-identical records are the established contract -- and
-  sweeps fan their chunks out through ``run_sweep``'s own pool support.
+  sweeps fan their chunks out through ``run_sweep``'s own per-call pool.
 
 The executor is also where the resilience layer lives (see the
 "Resilience" section of ``docs/ARCHITECTURE.md``):
@@ -24,13 +24,13 @@ The executor is also where the resilience layer lives (see the
   the server emits a structured timeout error event (the abandoned
   computation finishes on its thread -- Python threads cannot be
   killed -- but no queue capacity waits on it);
-* **pool supervision** -- a worker that crashes mid-job surfaces as
-  ``BrokenProcessPool``: the pool is recreated and the job retried
-  under the shared :class:`~repro.resilience.RetryPolicy`.  Transport
+* **pool supervision** -- one long-lived
+  :class:`~repro.resilience.PoolSupervisor` runs optimize jobs on the
+  process pool: a worker crash (``BrokenProcessPool``) recreates the
+  pool and retries under :attr:`JobExecutor.retry`, and transport
   errors (no semaphores / no fork support: ``OSError`` /
-  ``ImportError``) mean subprocesses will *never* work here, so only
-  they downgrade ``procs`` permanently -- logged and counted, never
-  silent;
+  ``ImportError``) drop ``procs`` to zero for good -- logged and
+  counted, never silent;
 * a **circuit breaker** -- K consecutive pool failures trip execution
   to the always-available in-thread path; after a cooldown one probe
   job tests the pool again (half-open) and a success restores it.
@@ -38,7 +38,9 @@ The executor is also where the resilience layer lives (see the
 Every retry, timeout, trip and fallback increments a ``resilience.*``
 counter on the executor's :class:`~repro.obs.metrics.MetricsRegistry`
 (the server shares its registry, so all of it surfaces in
-``serve_metrics`` and the ``metrics`` protocol op).
+``serve_metrics`` and the ``metrics`` protocol op).  A sweep's pool
+events land on the session's registry instead and surface in the
+session counters.
 
 Results always cross this boundary in *serialized* form (the record's
 lossless dict), which is exactly what the coalescing fan-out and the
@@ -50,10 +52,8 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Optional
 
 from repro.api.job import Job, SweepSpec
@@ -65,6 +65,7 @@ from repro.api.session import (
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import CircuitBreaker, JobTimeoutError, RetryPolicy
 from repro.resilience import faults
+from repro.resilience.pool import PoolFactory, PoolSupervisor, PoolUnavailable
 from repro.serve.protocol import ProtocolError
 
 log = logging.getLogger("repro.serve")
@@ -74,16 +75,6 @@ HEAVY_KINDS = ("optimize", "sweep")
 
 #: Emits one already-shaped progress event (thread-safe on the server).
 EventFn = Callable[[Dict[str, Any]], None]
-
-#: Builds a process pool (injectable: chaos tests hand in
-#: :class:`repro.resilience.InlinePool`).
-PoolFactory = Callable[[int], Any]
-
-
-def _default_pool_factory(max_workers: int) -> Any:
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 class JobExecutor:
@@ -134,13 +125,13 @@ class JobExecutor:
         self.session = session
         self.threads = threads
         self.heavy_threads = heavy_threads
-        self.procs = max(0, procs)
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.timeout_s = timeout_s
-        self.pool_factory: PoolFactory = (
-            pool_factory if pool_factory is not None else _default_pool_factory
+        #: The optimize jobs' process pool, built on first use.
+        self.supervisor = PoolSupervisor(
+            procs, self.retry, self.metrics, self.breaker, pool_factory
         )
         self._light = ThreadPoolExecutor(
             max_workers=threads, thread_name_prefix="pops-light"
@@ -148,15 +139,19 @@ class JobExecutor:
         self._heavy = ThreadPoolExecutor(
             max_workers=heavy_threads, thread_name_prefix="pops-heavy"
         )
-        self._proc_pool: Optional[Any] = None
         # Deadline-guarded jobs run on this detached pool so the caller
         # can stop waiting; sized like the worker pools it shadows.
         self._deadline: Optional[ThreadPoolExecutor] = None
         self._abandoned = 0
-        # Guards the lazily built pools and ``_abandoned``: worker threads
-        # build, discard and count concurrently, and an unguarded lazy
+        # Guards the lazily built deadline pool and ``_abandoned``: worker
+        # threads build and count concurrently, and an unguarded lazy
         # build lets two threads each create a pool, leaking one.
         self._lock = threading.Lock()
+
+    @property
+    def procs(self) -> int:
+        """Process-pool size; ``0`` once subprocesses proved unavailable."""
+        return self.supervisor.workers
 
     # -- pool selection ------------------------------------------------
 
@@ -171,23 +166,6 @@ class JobExecutor:
         operators can see which pool each kind actually landed on.
         """
         return "heavy" if kind in HEAVY_KINDS else "light"
-
-    def _process_pool(self) -> Any:
-        with self._lock:
-            if self._proc_pool is None:
-                self._proc_pool = self.pool_factory(self.procs)
-            return self._proc_pool
-
-    def _discard_pool(self) -> None:
-        """Drop a broken pool so the next attempt builds a fresh one."""
-        with self._lock:
-            pool = self._proc_pool
-            self._proc_pool = None
-            if pool is not None:
-                try:
-                    pool.shutdown(wait=False)
-                except Exception:  # pragma: no cover - best-effort teardown
-                    pass
 
     def _deadline_pool(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -262,84 +240,35 @@ class JobExecutor:
         raise ProtocolError(f"unsupported submit kind {kind!r}")
 
     def _run_optimize(self, job: Job) -> Dict[str, Any]:
-        """One optimization: supervised process pool, or in-thread.
+        """One optimization: on the supervised process pool, else in-thread.
 
-        The pool path is guarded three ways.  A worker crash
-        (``BrokenProcessPool``) recreates the pool and retries under
-        :attr:`retry`; every crash also feeds :attr:`breaker`, which
-        trips to in-thread execution after K consecutive failures and
-        half-open-probes the pool later.  Transport/import errors mean
-        this environment cannot run subprocesses at all, so only they
-        downgrade :attr:`procs` permanently -- with a log line and a
-        counter, never silently.
+        :attr:`supervisor` retries worker crashes under :attr:`retry`,
+        feeds :attr:`breaker` and disables the pool for good on
+        transport errors; when it gives up, the job runs in-thread
+        (same record, by contract).
         """
-        if self.procs > 0 and self.breaker.allow():
+
+        def on_pool(pool: Any) -> Dict[str, Any]:
             task = (
                 self.session.library,
                 self.session.flimits(),
                 self.session.bench_dir,
                 job.to_dict(),
             )
-            delays = self.retry.delays()
-            while True:
-                try:
-                    outcome = self._process_pool().submit(
-                        _optimize_job_worker, task
-                    ).result()
-                except BrokenProcessPool:
-                    self.metrics.inc("resilience.pool_broken")
-                    self.breaker.record_failure()
-                    self._discard_pool()
-                    self.metrics.inc("resilience.pool_recreated")
-                    if self.breaker.state != "closed":
-                        self.metrics.inc("resilience.breaker_trips")
-                        log.error(
-                            "process pool tripped the circuit breaker "
-                            "(%d consecutive failures); optimize jobs run "
-                            "in-thread until a probe succeeds",
-                            self.breaker.failures,
-                        )
-                        break
-                    try:
-                        delay = next(delays)
-                    except StopIteration:
-                        log.error(
-                            "job %r: pool worker crashed on every attempt "
-                            "(%d); falling back in-thread",
-                            job.name,
-                            self.retry.attempts,
-                        )
-                        break
-                    self.metrics.inc("resilience.retries")
-                    log.warning(
-                        "job %r: pool worker crashed mid-run; retrying on a "
-                        "fresh pool in %.3fs",
-                        job.name,
-                        delay,
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
-                except (OSError, ImportError) as exc:
-                    # No working subprocess support in this environment:
-                    # permanently fall back to in-thread execution (same
-                    # records, by contract) -- visibly.
-                    self.metrics.inc("resilience.pool_disabled")
-                    log.warning(
-                        "process pool unavailable (%s: %s); optimize jobs "
-                        "run in-thread from now on",
-                        type(exc).__name__,
-                        exc,
-                    )
-                    self.procs = 0
-                    break
-                else:
-                    self.breaker.record_success()
-                    if JOB_ERROR_KEY in outcome:
-                        raise outcome[JOB_ERROR_KEY]
-                    self.session.stats.jobs_run += 1
-                    return outcome
-            self.metrics.inc("resilience.fallbacks")
-        return self.session.optimize(job).to_dict()
+            return pool.submit(_optimize_job_worker, task).result()
+
+        try:
+            outcome = self.supervisor.run(on_pool)
+        except PoolUnavailable:
+            outcome = None
+        if outcome is None:
+            # Outside the handler, so that a job error raised here does
+            # not chain to PoolUnavailable.
+            return self.session.optimize(job).to_dict()
+        if JOB_ERROR_KEY in outcome:
+            raise outcome[JOB_ERROR_KEY]
+        self.session.stats.jobs_run += 1
+        return outcome
 
     def _run_sweep(
         self, spec: SweepSpec, progress: Optional[EventFn]
@@ -373,7 +302,7 @@ class JobExecutor:
     def shutdown(self, wait: bool = True) -> None:
         """Tear the pools down (after the server drained its queue)."""
         # The thread pools shut down outside the lock: a heavy thread
-        # may still need it to reach the process pool.
+        # may still need it to reach the deadline pool.
         self._light.shutdown(wait=wait)
         self._heavy.shutdown(wait=wait)
         with self._lock:
@@ -381,9 +310,8 @@ class JobExecutor:
                 # Never wait on abandoned (timed-out) computations.
                 self._deadline.shutdown(wait=False, cancel_futures=True)
                 self._deadline = None
-            if self._proc_pool is not None:
-                self._proc_pool.shutdown(wait=wait and self._abandoned == 0)
-                self._proc_pool = None
+            wait_pool = wait and self._abandoned == 0
+        self.supervisor.shutdown(wait=wait_pool)
 
     def stats(self) -> Dict[str, Any]:
         """Pool shape for the status endpoint."""

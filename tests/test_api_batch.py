@@ -59,10 +59,12 @@ class TestOptimizeMany:
             session.optimize_many(jobs, workers=2)
 
     def test_pool_failure_falls_back_to_serial(self, session, monkeypatch):
-        def broken(self, jobs, workers):
+        from repro.resilience import pool as pool_mod
+
+        def broken(max_workers):
             raise OSError("no semaphores in this sandbox")
 
-        monkeypatch.setattr(Session, "_optimize_parallel", broken)
+        monkeypatch.setattr(pool_mod, "default_pool_factory", broken)
         jobs = [Job(benchmark="fpd", tc_ratio=r) for r in (2.4, 1.4)]
         records = session.optimize_many(jobs, workers=8)
         assert [r.payload.feasible for r in records] == [True, True]

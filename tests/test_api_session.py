@@ -3,7 +3,7 @@
 import pytest
 
 import repro.buffering.insertion as insertion
-from repro.api import Job, JobError, Session, circuit_state_key
+from repro.api import Job, JobError, Session
 from repro.buffering.netlist_insertion import insert_buffer_pair
 from repro.cells.library import default_library
 from repro.iscas.loader import load_benchmark
@@ -22,6 +22,11 @@ def counted_characterize(monkeypatch):
 
     monkeypatch.setattr(insertion, "characterize_library", counting)
     return calls
+
+
+def _cache(session, name):
+    """One cache's hit/miss counters from ``cache_stats``."""
+    return session.cache_stats()["caches"][name]
 
 
 class TestFlimitCaching:
@@ -95,10 +100,10 @@ class TestFlimitCaching:
 class TestStateKeyedCaches:
     def test_state_key_tracks_sizing(self):
         circuit = load_benchmark("fpd")
-        key = circuit_state_key(circuit)
-        assert circuit_state_key(circuit.copy()) == key
+        key = circuit.state_key()
+        assert circuit.copy().state_key() == key
         circuit.gates[next(iter(circuit.gates))].cin_ff = 99.0
-        assert circuit_state_key(circuit) != key
+        assert circuit.state_key() != key
 
     def test_sweep_extracts_and_bounds_once(self):
         session = Session()
@@ -106,20 +111,20 @@ class TestStateKeyedCaches:
         session.bounds(base)
         session.bounds(base)
         session.optimize(base.with_constraint(tc_ratio=2.0))
-        assert session.stats.path_misses == 1
-        assert session.stats.bounds_misses == 1
-        assert session.stats.bounds_hits >= 2
-        assert session.stats.benchmark_misses == 1
+        assert _cache(session, "paths")["misses"] == 1
+        assert _cache(session, "bounds")["misses"] == 1
+        assert _cache(session, "bounds")["hits"] >= 2
+        assert _cache(session, "benchmarks")["misses"] == 1
 
     def test_sta_memoized_until_resized(self):
         session = Session()
         circuit = load_benchmark("fpd")
         first = session.sta(circuit)
         assert session.sta(circuit) is first
-        assert session.stats.sta_hits == 1
+        assert _cache(session, "sta")["hits"] == 1
         circuit.gates[next(iter(circuit.gates))].cin_ff = 42.0
         assert session.sta(circuit) is not first
-        assert session.stats.sta_misses == 2
+        assert _cache(session, "sta")["misses"] == 2
 
     def test_clear_caches(self):
         session = Session()
@@ -144,7 +149,7 @@ class TestInvalidation:
         assert served.arrivals == fresh.arrivals
         assert served.loads_ff == fresh.loads_ff
         # ...and the re-sizing was served incrementally, not by full STA.
-        assert session.stats.sta_incremental == 1
+        assert _cache(session, "engines")["hits"] == 1
 
     def test_structural_mutation_gets_fresh_engine(self):
         session = Session()
@@ -154,7 +159,7 @@ class TestInvalidation:
         served = session.sta(circuit)
         fresh = analyze(circuit, session.library)
         assert served.arrivals == fresh.arrivals
-        assert session.stats.sta_incremental == 0
+        assert _cache(session, "engines")["hits"] == 0
         assert len(session._engines) == 2
 
     def test_caller_mutations_cannot_corrupt_the_engine(self):
@@ -181,7 +186,7 @@ class TestInvalidation:
             served = session.sta(circuit)
             fresh = analyze(circuit, session.library)
             assert served.arrivals == fresh.arrivals, f"step={step}"
-        assert session.stats.sta_incremental == 3
+        assert _cache(session, "engines")["hits"] == 3
 
 
 class TestJobPlumbing:

@@ -8,6 +8,8 @@ resumed campaign must serve journaled points byte-identically too.
 
 import json
 import os
+import threading
+from concurrent.futures import Future
 
 import pytest
 
@@ -313,6 +315,50 @@ class TestCampaignStore:
         assert store.completed_labels() == {}
 
 
+class _ReadSignalFuture(Future):
+    """A future that signals once its result has been read."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = threading.Event()
+
+    def result(self, timeout=None):
+        try:
+            return super().result(timeout)
+        finally:
+            self.read.set()
+
+
+class _ReversePool:
+    """Pool double whose futures complete in reverse submission order.
+
+    Once ``expected`` submissions are in, a thread runs them last to
+    first, settling each future only after the previous one was read.
+    """
+
+    def __init__(self, max_workers, expected):
+        self.expected = expected
+        self.submitted = []
+        self.thread = None
+
+    def submit(self, fn, *args):
+        future = _ReadSignalFuture()
+        self.submitted.append((future, fn, args))
+        if len(self.submitted) == self.expected:
+            self.thread = threading.Thread(target=self._settle)
+            self.thread.start()
+        return future
+
+    def _settle(self):
+        for future, fn, args in reversed(self.submitted):
+            future.set_result(fn(*args))
+            future.read.wait(timeout=5)
+
+    def shutdown(self, wait=True, **_):
+        if self.thread is not None:
+            self.thread.join(timeout=5)
+
+
 class TestChunkedScheduler:
     def test_chunking_respects_benchmark_groups(self):
         from repro.explore.runner import _chunks
@@ -335,6 +381,29 @@ class TestChunkedScheduler:
         result = run_sweep(Session(), SPEC, workers=2, chunk_size=2)
         for a, b in zip(warm_result.records, result.records):
             assert payload_bytes(a) == payload_bytes(b)
+
+    def test_pool_sweep_raises_the_serial_loops_job_error(self, monkeypatch):
+        # Both chunks fail and finish last-submitted first; the pool path
+        # must still raise the error the serial loop raises (chunk 0's).
+        from repro.resilience import pool as pool_mod
+
+        spec = SweepSpec(
+            benchmarks=("nosuch_a", "nosuch_b"),
+            tc_ratio_points=(1.3,),
+            scope="path",
+        )
+        with pytest.raises(KeyError, match="nosuch_a"):
+            run_sweep(Session(), spec)
+        pools = []
+
+        def reverse_pool(max_workers):
+            pools.append(_ReversePool(max_workers, expected=2))
+            return pools[-1]
+
+        monkeypatch.setattr(pool_mod, "default_pool_factory", reverse_pool)
+        with pytest.raises(KeyError, match="nosuch_a"):
+            run_sweep(Session(), spec, workers=2)
+        assert len(pools) == 1 and not pools[0].thread.is_alive()
 
     def test_progress_callback_sees_every_point(self):
         seen = []

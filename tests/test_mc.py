@@ -51,6 +51,11 @@ CORE_CIRCUITS = (
 RTOL = 1e-12
 
 
+def _cache(session, name):
+    """One cache's hit/miss counters from ``cache_stats``."""
+    return session.cache_stats()["caches"][name]
+
+
 def _randomly_sized(name: str, lib, seed: int = 11):
     circuit = load_benchmark(name)
     rng = np.random.default_rng(seed)
@@ -281,12 +286,12 @@ class TestSessionMc:
         assert 0.0 <= record.extra["yield"] <= 1.0
         assert record.payload.yield_fraction == record.extra["yield"]
         # An absolute constraint must not pay the eq. 4 bounds solve.
-        assert session.stats.bounds_misses == 0
+        assert _cache(session, "bounds")["misses"] == 0
 
     def test_relative_constraint_resolves_against_tmin(self):
         session = Session()
         record = session.mc(Job(benchmark="fpd", tc_ratio=2.0, mc_samples=60))
-        assert session.stats.bounds_misses == 1
+        assert _cache(session, "bounds")["misses"] == 1
         tmin = session.path_bounds(session.benchmark("fpd")).tmin_ps
         assert record.extra["tc_ps"] == pytest.approx(2.0 * tmin)
 
@@ -294,12 +299,14 @@ class TestSessionMc:
         session = Session()
         job = Job(benchmark="fpd", mc_samples=40)
         session.mc(job)
-        assert (session.stats.compile_misses, session.stats.compile_hits) == (1, 0)
+        compiled = _cache(session, "compiled")
+        assert (compiled["misses"], compiled["hits"]) == (1, 0)
         session.mc(job)
-        assert (session.stats.compile_misses, session.stats.compile_hits) == (1, 1)
+        compiled = _cache(session, "compiled")
+        assert (compiled["misses"], compiled["hits"]) == (1, 1)
         session.clear_caches()
         session.mc(job)
-        assert session.stats.compile_misses == 2
+        assert _cache(session, "compiled")["misses"] == 2
 
     def test_resized_circuit_reuses_compilation(self, lib):
         session = Session()
@@ -308,7 +315,7 @@ class TestSessionMc:
         for gate in circuit.gates.values():
             gate.cin_ff = 2.0 * lib.cell(gate.kind).cin_min(lib.tech)
         second = session.mc(Job(circuit=circuit, mc_samples=40))
-        assert session.stats.compile_hits == 1
+        assert _cache(session, "compiled")["hits"] == 1
         # Bigger drives, same loads at the boundary: timing changed.
         assert second.payload.nominal_ps != first.payload.nominal_ps
 

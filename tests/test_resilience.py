@@ -34,6 +34,7 @@ from repro.resilience import (
     FaultSpec,
     InlinePool,
     JobTimeoutError,
+    PoolSupervisor,
     RetryPolicy,
     faults,
 )
@@ -484,7 +485,7 @@ class TestPoolSupervision:
 
         def heavy():
             barrier.wait(timeout=5)
-            pools.append(executor._process_pool())
+            pools.append(executor.supervisor.pool())
 
         threads = [threading.Thread(target=heavy) for _ in range(2)]
         try:
@@ -498,8 +499,82 @@ class TestPoolSupervision:
         finally:
             executor.shutdown(wait=False)
 
+    def test_late_discard_leaves_the_replacement_pool_alone(self):
+        # Threads A and B both hold pool P1 when it breaks.  B discards
+        # it first and retries on a fresh P2; A's late discard of P1 must
+        # neither shut P2 down nor force a third pool.
+        built = []
+
+        class RecordingPool(InlinePool):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.shut_down = False
+                built.append(self)
+
+            def shutdown(self, wait=True, **_):
+                self.shut_down = True
+
+        metrics = MetricsRegistry()
+        supervisor = PoolSupervisor(
+            1, _fast_retry(), metrics, factory=RecordingPool
+        )
+        a_holds_p1 = threading.Event()
+        b_on_p2 = threading.Event()
+        seen_by_a = []
+        results = {}
+
+        def use_a(pool):
+            seen_by_a.append(pool)
+            if len(seen_by_a) == 1:
+                a_holds_p1.set()
+                assert b_on_p2.wait(timeout=5)
+                raise BrokenProcessPool("A sees P1 break, late")
+            return pool
+
+        def use_b(pool):
+            if pool is built[0]:
+                raise BrokenProcessPool("B sees P1 break first")
+            b_on_p2.set()
+            return pool
+
+        thread_a = threading.Thread(
+            target=lambda: results.update(a=supervisor.run(use_a))
+        )
+        thread_a.start()
+        assert a_holds_p1.wait(timeout=5)
+        p2 = supervisor.run(use_b)
+        thread_a.join(timeout=5)
+        assert not thread_a.is_alive()
+        p1 = built[0]
+        assert len(built) == 2 and p2 is built[1]
+        assert results["a"] is p2  # A retried on B's replacement
+        assert supervisor.pool() is p2 and not p2.shut_down
+        assert p1.shut_down
+        counters = metrics.snapshot()["counters"]
+        assert counters["resilience.pool_broken"] == 2
+        assert counters["resilience.retries"] == 2
+
 
 # -- batch / sweep runner supervision ----------------------------------
+
+
+@pytest.fixture
+def pool_builds(monkeypatch):
+    """Batch and sweep pools become :class:`InlinePool`s; list each build."""
+    from repro.resilience import pool as pool_mod
+
+    built = []
+
+    def factory(max_workers):
+        built.append(max_workers)
+        return InlinePool(max_workers)
+
+    monkeypatch.setattr(pool_mod, "default_pool_factory", factory)
+    return built
+
+
+def _counters(session):
+    return session.metrics.snapshot()["counters"]
 
 
 class TestBatchSupervision:
@@ -509,54 +584,50 @@ class TestBatchSupervision:
             Job(benchmark="fpd", tc_ratio=1.6, label="b"),
         ]
 
-    def test_broken_pool_retries_once_then_succeeds(self, monkeypatch):
+    def test_broken_pool_retries_once_then_succeeds(self, pool_builds):
         session = Session()
-        calls = {"n": 0}
-
-        def flaky(self, jobs, workers):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise BrokenProcessPool("worker died")
-            return [self.optimize(job) for job in jobs]
-
-        monkeypatch.setattr(Session, "_optimize_parallel", flaky)
-        records = session.optimize_many(self._jobs(), workers=2)
+        plan = FaultPlan([FaultSpec(faults.SITE_POOL_BROKEN, times=1)])
+        with faults.installed(plan):
+            records = session.optimize_many(self._jobs(), workers=2)
         assert len(records) == 2
-        assert calls["n"] == 2
-        assert session.stats.pool_broken == 1
-        assert session.stats.pool_retries == 1
-        assert session.stats.pool_fallbacks == 0
+        assert len(pool_builds) == 2  # the broken pool and its replacement
+        counters = _counters(session)
+        assert counters["resilience.pool_broken"] == 1
+        assert counters["resilience.retries"] == 1
+        assert "resilience.fallbacks" not in counters
 
-    def test_broken_pool_twice_falls_back_serial(self, monkeypatch):
+    def test_broken_pool_twice_falls_back_serial(self, pool_builds):
         session = Session()
-
-        def always_broken(self, jobs, workers):
-            raise BrokenProcessPool("worker died again")
-
-        monkeypatch.setattr(Session, "_optimize_parallel", always_broken)
         serial = [r.to_dict() for r in Session().optimize_many(self._jobs())]
-        records = session.optimize_many(self._jobs(), workers=2)
+        # Every submission breaks: the first try and its one retry.
+        plan = FaultPlan([FaultSpec(faults.SITE_POOL_BROKEN, times=100)])
+        with faults.installed(plan):
+            records = session.optimize_many(self._jobs(), workers=2)
         assert [
             _strip_timing(r.to_dict()) for r in records
         ] == [_strip_timing(d) for d in serial]
-        assert session.stats.pool_broken == 2
-        assert session.stats.pool_retries == 1
-        assert session.stats.pool_fallbacks == 1
+        counters = _counters(session)
+        assert counters["resilience.pool_broken"] == 2
+        assert counters["resilience.retries"] == 1
+        assert counters["resilience.fallbacks"] == 1
 
     def test_transport_error_goes_straight_to_serial(self, monkeypatch):
-        session = Session()
-        calls = {"n": 0}
+        from repro.resilience import pool as pool_mod
 
-        def no_pool(self, jobs, workers):
-            calls["n"] += 1
+        calls = []
+
+        def no_pool(max_workers):
+            calls.append(max_workers)
             raise OSError("no semaphores")
 
-        monkeypatch.setattr(Session, "_optimize_parallel", no_pool)
+        monkeypatch.setattr(pool_mod, "default_pool_factory", no_pool)
+        session = Session()
         records = session.optimize_many(self._jobs(), workers=2)
         assert len(records) == 2
-        assert calls["n"] == 1  # no retry for transport errors
-        assert session.stats.pool_broken == 0
-        assert session.stats.pool_fallbacks == 1
+        assert len(calls) == 1  # no retry for transport errors
+        counters = _counters(session)
+        assert "resilience.pool_broken" not in counters
+        assert counters["resilience.fallbacks"] == 1
 
 
 class TestSweepSupervision:
@@ -566,44 +637,41 @@ class TestSweepSupervision:
         )
 
     def test_broken_pool_finishes_serially_with_identical_records(
-        self, monkeypatch
+        self, pool_builds
     ):
         from repro.explore import run_sweep
-        from repro.explore import runner as runner_mod
 
         reference = run_sweep(Session(), self._spec())
-
-        def always_broken(session, chunks, workers, on_chunk):
-            raise BrokenProcessPool("worker died")
-
-        monkeypatch.setattr(runner_mod, "_parallel_chunks", always_broken)
         session = Session()
-        result = run_sweep(session, self._spec(), workers=2, chunk_size=1)
+        plan = FaultPlan([FaultSpec(faults.SITE_POOL_BROKEN, times=100)])
+        with faults.installed(plan):
+            result = run_sweep(session, self._spec(), workers=2, chunk_size=1)
         assert [
             _strip_timing(r.to_dict()) for r in result.records
         ] == [_strip_timing(r.to_dict()) for r in reference.records]
-        assert session.stats.pool_broken == 2  # first try + one retry
-        assert session.stats.pool_retries == 1
-        assert session.stats.pool_fallbacks == 1
+        counters = _counters(session)
+        assert counters["resilience.pool_broken"] == 2  # first try + one retry
+        assert counters["resilience.retries"] == 1
+        assert counters["resilience.fallbacks"] == 1
 
     def test_transport_error_finishes_serially_without_retry(
         self, monkeypatch
     ):
         from repro.explore import run_sweep
-        from repro.explore import runner as runner_mod
+        from repro.resilience import pool as pool_mod
 
-        calls = {"n": 0}
+        calls = []
 
-        def no_pool(session, chunks, workers, on_chunk):
-            calls["n"] += 1
+        def no_pool(max_workers):
+            calls.append(max_workers)
             raise ImportError("no multiprocessing here")
 
-        monkeypatch.setattr(runner_mod, "_parallel_chunks", no_pool)
+        monkeypatch.setattr(pool_mod, "default_pool_factory", no_pool)
         session = Session()
         result = run_sweep(session, self._spec(), workers=2, chunk_size=1)
         assert len(result.records) == 2
-        assert calls["n"] == 1
-        assert session.stats.pool_fallbacks == 1
+        assert len(calls) == 1
+        assert _counters(session)["resilience.fallbacks"] == 1
 
 
 # -- client resilience -------------------------------------------------
