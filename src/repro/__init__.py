@@ -34,7 +34,7 @@ Domain layers (see README for a tour):
 
 import logging as _logging
 
-from repro.api import Job, JobError, RunRecord, Session, SessionStats, SweepSpec
+from repro.api import Job, JobError, RunRecord, Session, SweepSpec
 from repro.cells.library import Library, default_library
 from repro.iscas.loader import benchmark_names, load_benchmark
 from repro.netlist.circuit import Circuit
@@ -52,7 +52,6 @@ __all__ = [
     "SweepSpec",
     "RunRecord",
     "Session",
-    "SessionStats",
     "Library",
     "default_library",
     "Circuit",

@@ -29,7 +29,7 @@ from repro.api.records import (
     RecordError,
     RunRecord,
 )
-from repro.api.session import Session, SessionStats
+from repro.api.session import Session
 
 __all__ = [
     "BoundedCache",
@@ -49,5 +49,4 @@ __all__ = [
     "KIND_SWEEP",
     "KIND_MC",
     "Session",
-    "SessionStats",
 ]

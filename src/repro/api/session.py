@@ -30,7 +30,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.activity import estimate_activity
@@ -55,7 +55,7 @@ from repro.iscas.loader import load_benchmark
 from repro.mc.compile import CompiledCircuit
 from repro.mc.result import McResult, mc_analyze
 from repro.netlist.circuit import Circuit
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import CounterView, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Stopwatch, Tracer
 from repro.process.technology import Technology
 from repro.protocol.optimizer import WarmStart, optimize_circuit, optimize_path
@@ -66,16 +66,8 @@ from repro.timing.incremental import IncrementalSta
 from repro.timing.sta import StaResult
 
 
-@dataclass
-class SessionStats:
-    """Work counters; cache hits and misses live on each cache."""
-
-    characterizations: int = 0
-    jobs_run: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view for logging."""
-        return dict(self.__dict__)
+#: The session's work counters, registry counters under the same names.
+_WORK_COUNTERS = ("characterizations", "jobs_run")
 
 
 class Session:
@@ -151,9 +143,14 @@ class Session:
         self.bench_dir = bench_dir
         self.cache_limit = cache_limit
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-        self.stats = SessionStats()
-        #: ``resilience.*`` counters of the batch and sweep process pools.
+        #: The session's one counter store: the work counters, the
+        #: ``resilience.*`` pool events, and in a daemon the ``serve.*``
+        #: and ``store.*`` counters and the lifecycle histograms.
         self.metrics = MetricsRegistry()
+        for name in _WORK_COUNTERS:
+            self.metrics.inc(name, 0)
+        #: Read-only ``characterizations`` / ``jobs_run`` attributes.
+        self.stats = CounterView(self.metrics, {n: n for n in _WORK_COUNTERS})
         # Library/backend identity prefixed onto every circuit-keyed
         # cache key: two sessions over different libraries (or backends)
         # can never alias each other's derived artefacts, even through a
@@ -224,7 +221,8 @@ class Session:
 
         ``stats.characterizations`` counts *actual* characterisations:
         it stays at zero when the insertion-layer cache already holds the
-        table for this library instance (e.g. a sibling session built it).
+        table for this library's fingerprint (e.g. a sibling session over
+        an equal library built it).
         """
         if self._flimits is None:
             with self._populate_lock("flimits", None):
@@ -232,7 +230,7 @@ class Session:
                     from repro.buffering.insertion import flimit_cache_contains
 
                     if not flimit_cache_contains(self._library):
-                        self.stats.characterizations += 1
+                        self.metrics.inc("characterizations")
                     self._flimits = default_flimits(self._library)
         return self._flimits
 
@@ -385,8 +383,7 @@ class Session:
         rates and the eviction total at the top level so dashboards need
         not walk the nested dicts.  This is the surface the serving
         layer's ``status`` endpoint and ``pops status`` expose;
-        ``counters`` merges :attr:`stats` with the ``resilience.*``
-        counters of :attr:`metrics`.
+        ``counters`` lists every counter of :attr:`metrics`.
         """
         with self._lock:
             caches = {
@@ -409,10 +406,7 @@ class Session:
                 "evictions": sum(
                     stats["evictions"] for stats in caches.values()
                 ),
-                "counters": {
-                    **self.stats.as_dict(),
-                    **self.metrics.snapshot()["counters"],
-                },
+                "counters": self.metrics.counters(),
             }
 
     # -- job plumbing --------------------------------------------------
@@ -470,7 +464,7 @@ class Session:
         """Full Table 2 characterisation as a run record."""
         sw = Stopwatch()
         with self.tracer.span("session.characterize"):
-            self.stats.characterizations += 1
+            self.metrics.inc("characterizations")
             entries = characterize_library(
                 self._library, gates=TABLE2_GATES, with_simulation=with_simulation
             )
@@ -487,7 +481,7 @@ class Session:
         """Critical-path delay window of the job's circuit."""
         sw = Stopwatch()
         with self.tracer.span("session.bounds", job=job.name):
-            self.stats.jobs_run += 1
+            self.metrics.inc("jobs_run")
             job = self._prepare_job(job)
             circuit = self.resolve_circuit(job)
             extracted = self.critical_path(circuit)
@@ -520,7 +514,7 @@ class Session:
         with self.tracer.span(
             "session.optimize", job=job.name, scope=job.scope
         ):
-            self.stats.jobs_run += 1
+            self.metrics.inc("jobs_run")
             job = self._prepare_job(job)
             circuit = self.resolve_circuit(job)
             bounds = self.path_bounds(circuit)
@@ -583,7 +577,7 @@ class Session:
         """Area / activity / power report for the job's circuit."""
         sw = Stopwatch()
         with self.tracer.span("session.power", job=job.name):
-            self.stats.jobs_run += 1
+            self.metrics.inc("jobs_run")
             job = self._prepare_job(job)
             circuit = self.resolve_circuit(job)
             activity = estimate_activity(circuit, n_vectors=job.activity_vectors)
@@ -622,7 +616,7 @@ class Session:
         """
         sw = Stopwatch()
         with self.tracer.span("session.mc", job=job.name):
-            self.stats.jobs_run += 1
+            self.metrics.inc("jobs_run")
             job = self._prepare_job(job)
             circuit = self.resolve_circuit(job)
             # Only a Tmin-relative constraint needs the (eq. 4) bounds
@@ -715,7 +709,7 @@ class Session:
                 for outcome in outcomes:
                     if JOB_ERROR_KEY in outcome:
                         raise outcome[JOB_ERROR_KEY]
-                self.stats.jobs_run += len(outcomes)
+                self.metrics.inc("jobs_run", len(outcomes))
                 return [
                     RunRecord.from_dict(d, library=self._library)
                     for d in outcomes

@@ -23,7 +23,6 @@ polarity-free convention).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -77,10 +76,10 @@ class BufferingResult:
         return 1.0 - self.delay_ps / self.baseline_delay_ps
 
 
-#: Per-library-instance characterisation cache.  Keyed by ``id`` because
-#: :class:`Library` carries an unhashable cell mapping; a weak reference
-#: guards against id reuse after garbage collection.
-_FLIMIT_CACHE: Dict[int, Tuple["weakref.ref", Dict[Tuple[GateKind, GateKind], float]]] = {}
+#: Characterisation cache keyed by :meth:`Library.fingerprint`, a value
+#: covering everything the table depends on: equal libraries share one
+#: table, and no entry can be served to a different library.
+_FLIMIT_CACHE: Dict[Tuple, Dict[Tuple[GateKind, GateKind], float]] = {}
 
 
 def default_flimits(
@@ -90,38 +89,30 @@ def default_flimits(
 
     Characterisation runs a bisection over golden-section searches per
     gate pair -- by far the most expensive prerequisite of the protocol --
-    so the result is cached per library instance: every later call with
-    the same (immutable) library returns the table without recomputing.
-    ``use_cache=False`` forces a fresh characterisation.
+    so the result is cached per library fingerprint: every later call
+    with an equal (immutable) library returns the table without
+    recomputing.  ``use_cache=False`` forces a fresh characterisation.
     """
     if use_cache:
-        entry = _FLIMIT_CACHE.get(id(library))
-        if entry is not None and entry[0]() is library:
-            return entry[1]
+        limits = _FLIMIT_CACHE.get(library.fingerprint())
+        if limits is not None:
+            return limits
     all_kinds = tuple(cell.kind for cell in library)
     entries = characterize_library(library, gates=all_kinds, drivers=(GateKind.INV,))
     limits = flimit_lookup(entries)
     if use_cache:
-        key = id(library)
-        _FLIMIT_CACHE[key] = (
-            weakref.ref(library, lambda _: _FLIMIT_CACHE.pop(key, None)),
-            limits,
-        )
+        _FLIMIT_CACHE[library.fingerprint()] = limits
     return limits
 
 
 def flimit_cache_contains(library: Library) -> bool:
     """Whether :func:`default_flimits` would be served from the cache.
 
-    The cache is keyed by ``id(library)`` (libraries are unhashable), so
-    a raw key probe can be fooled by id reuse after another library was
-    garbage-collected; this helper also checks the stored weak reference,
-    making it the one supported way for callers (e.g. the Session
-    facade's characterisation counter) to ask about cache residency
-    without reaching into the private table.
+    The one supported way for callers (e.g. the Session facade's
+    characterisation counter) to ask about cache residency without
+    reaching into the private table.
     """
-    entry = _FLIMIT_CACHE.get(id(library))
-    return entry is not None and entry[0]() is library
+    return library.fingerprint() in _FLIMIT_CACHE
 
 
 def overloaded_stages(

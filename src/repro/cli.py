@@ -107,6 +107,34 @@ def _export_trace(args: argparse.Namespace, session: Session) -> None:
         print(f"trace       : {count} span(s) -> {path}", file=sys.stderr)
 
 
+def _job(kind: str, args: argparse.Namespace, benchmark: str) -> Job:
+    """The ``Job`` that ``pops <kind>`` and ``pops submit <kind>`` run."""
+    if kind == "optimize":
+        return Job(
+            benchmark=benchmark,
+            tc_ps=args.tc_ps,
+            tc_ratio=args.tc_ratio if args.tc_ps is None else None,
+            scope=args.scope,
+            k_paths=args.k_paths,
+            weight_mode=args.weight_mode,
+            allow_restructuring=not args.no_restructuring,
+        )
+    if kind == "power":
+        return Job(
+            benchmark=benchmark,
+            frequency_mhz=args.frequency,
+            activity_vectors=args.vectors,
+        )
+    if kind == "mc":
+        return Job(
+            benchmark=benchmark,
+            tc_ps=args.yield_at,
+            mc_samples=args.samples,
+            mc_seed=args.seed,
+        )
+    return Job(benchmark=benchmark)  # bounds
+
+
 def _emit(args: argparse.Namespace, record) -> bool:
     """Print the JSON envelope when requested; returns True if handled."""
     if getattr(args, "json", False):
@@ -239,7 +267,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    record = _session(args).bounds(Job(benchmark=args.benchmark))
+    record = _session(args).bounds(_job("bounds", args, args.benchmark))
     if _emit(args, record):
         return 0
     bounds = record.payload["bounds"]
@@ -254,15 +282,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    job = Job(
-        benchmark=args.benchmark,
-        tc_ps=args.tc_ps,
-        tc_ratio=args.tc_ratio if args.tc_ps is None else None,
-        scope=args.scope,
-        k_paths=args.k_paths,
-        weight_mode=args.weight_mode,
-        allow_restructuring=not args.no_restructuring,
-    )
+    job = _job("optimize", args, args.benchmark)
     session = _session(args)
     record = session.optimize(job)
     _export_trace(args, session)
@@ -333,11 +353,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
-    job = Job(
-        benchmark=args.benchmark,
-        frequency_mhz=args.frequency,
-        activity_vectors=args.vectors,
-    )
+    job = _job("power", args, args.benchmark)
     record = _session(args).power(job)
     if _emit(args, record):
         return 0
@@ -409,15 +425,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     session = _session(args)
-    records = []
-    for benchmark in args.benchmarks:
-        job = Job(
-            benchmark=benchmark,
-            tc_ps=args.yield_at,
-            mc_samples=args.samples,
-            mc_seed=args.seed,
-        )
-        records.append(session.mc(job))
+    records = [session.mc(_job("mc", args, name)) for name in args.benchmarks]
     _export_trace(args, session)
 
     if args.store is not None:
@@ -600,31 +608,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     """Run one job through the daemon; stream progress to stderr."""
-    if args.kind == "optimize":
-        job = Job(
-            benchmark=args.benchmark,
-            tc_ps=args.tc_ps,
-            tc_ratio=args.tc_ratio if args.tc_ps is None else None,
-            scope=args.scope,
-            k_paths=args.k_paths,
-            weight_mode=args.weight_mode,
-            allow_restructuring=not args.no_restructuring,
-        )
-    elif args.kind == "bounds":
-        job = Job(benchmark=args.benchmark)
-    elif args.kind == "power":
-        job = Job(
-            benchmark=args.benchmark,
-            frequency_mhz=args.frequency,
-            activity_vectors=args.vectors,
-        )
-    else:  # mc
-        job = Job(
-            benchmark=args.benchmark,
-            tc_ps=args.yield_at,
-            mc_samples=args.samples,
-            mc_seed=args.seed,
-        )
+    job = _job(args.kind, args, args.benchmark)
 
     def on_event(event) -> None:
         if not args.quiet:

@@ -218,7 +218,7 @@ def _parallel_chunks(
                 break
             records.append(RunRecord.from_dict(entry, library=session.library))
         on_chunk(futures[future], records)
-        session.stats.jobs_run += len(records)
+        session.metrics.inc("jobs_run", len(records))
     return errors[min(errors)] if errors else None
 
 

@@ -6,19 +6,17 @@ The observability layer the rest of the stack threads through:
   single-attribute-check disabled path (:mod:`repro.obs.trace`);
 * :class:`Stopwatch` -- the shared wall-clock helper replacing
   hand-rolled ``perf_counter`` pairs;
-* :class:`MetricsRegistry` plus the :func:`session_metrics` /
-  :func:`serve_metrics` unified snapshots (:mod:`repro.obs.metrics`);
+* :class:`MetricsRegistry`, a session's one counter store, plus the
+  :func:`session_metrics` / :func:`serve_metrics` views over it
+  (:mod:`repro.obs.metrics`);
 * :class:`OptimizerTelemetry` -- the per-pass optimizer story recorded
   into ``RunRecord`` envelopes (:mod:`repro.obs.telemetry`);
 * the ``pops trace`` renderers (:mod:`repro.obs.report`).
 """
 
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
-    hit_rate,
     serve_metrics,
     session_metrics,
 )
@@ -34,8 +32,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",
@@ -45,7 +41,6 @@ __all__ = [
     "Span",
     "Stopwatch",
     "Tracer",
-    "hit_rate",
     "load_trace_jsonl",
     "render_record_telemetry",
     "render_spans",

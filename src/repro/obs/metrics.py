@@ -1,65 +1,36 @@
-"""Named counters, gauges and histograms behind one snapshot schema.
+"""One registry of counters and histograms per session.
 
-:class:`MetricsRegistry` is the process-local metric store: instruments
-are created on first use (``registry.counter("serve.jobs").inc()``) and
-:meth:`MetricsRegistry.snapshot` renders everything as one JSON-native
-dict.  Metric names are dotted, lowercase, ``<layer>.<thing>[.<unit>]``
--- ``serve.queue_wait_s``, ``sta.update`` -- matching the span taxonomy
-(see the Observability section in ``docs/ARCHITECTURE.md``).
+:class:`MetricsRegistry` is the only counter store of a
+:class:`~repro.api.session.Session` and of the daemon built on it
+(``Session.metrics``): integer counters and windowed histograms, both
+created on first use (``registry.inc("serve.submitted")``,
+``registry.observe("serve.queue_wait_s", 0.01)``) and rendered by
+:meth:`MetricsRegistry.snapshot` as one JSON-native dict.  Names are
+dotted, lowercase, ``<layer>.<thing>[.<unit>]`` -- ``serve.queue_wait_s``,
+``store.hits``, ``resilience.timeouts`` -- matching the span taxonomy
+(see the Observability section in ``docs/ARCHITECTURE.md``); the
+session's two work counters keep their bare historical names
+(``characterizations``, ``jobs_run``).
 
-:func:`session_metrics` and :func:`serve_metrics` are the unification
-layer over the stack's stat surfaces (``Session.cache_stats()``, which
-merges ``SessionStats`` with the session registry's ``resilience.*``
-pool counters and carries each ``BoundedCache``'s hits and misses;
-``IncrementalSta.stats``; ``ServeStats`` / queue / store; the
-executor's resilience state): they *read* those surfaces and assemble
-the one combined schema that the serve ``metrics`` protocol op and
-``pops status`` report.
+:class:`CounterView` reads a fixed set of counters as attributes
+(``Session.stats``, ``PopsServer.stats``).  :func:`session_metrics` and
+:func:`serve_metrics` assemble the one combined schema that the serve
+``metrics`` protocol op and ``pops status`` report: views over the
+registry, plus the two surfaces that keep their own counters --
+each ``BoundedCache``'s hits and misses (counted under the session
+lock) and ``IncrementalSta.stats`` (counted per gate on the STA hot
+path).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Deque, Dict, Mapping, Optional
 
 #: Retained observations per histogram; summaries beyond this window are
 #: computed over the most recent values (count/total stay exact).
 HISTOGRAM_WINDOW = 4096
-
-
-def hit_rate(hits: int, misses: int) -> Optional[float]:
-    """Hit fraction in ``[0, 1]``, or ``None`` before any lookups."""
-    total = hits + misses
-    if total == 0:
-        return None
-    return hits / total
-
-
-class Counter:
-    """A monotonically increasing integer."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        """Add ``n`` (default 1)."""
-        self.value += n
-
-
-class Gauge:
-    """A point-in-time value, overwritten on every set."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current level."""
-        self.value = value
 
 
 class Histogram:
@@ -110,80 +81,54 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe registry of named counters, gauges and histograms.
+    """Thread-safe named counters (ints) and histograms.
 
-    Instruments are created lazily on first access and live for the
-    registry's lifetime.  One name maps to one instrument kind; asking
-    for the same name as a different kind raises ``ValueError``.
+    Both kinds are created on first use and live for the registry's
+    lifetime; every update and read holds the one registry lock.  A
+    name is a counter or a histogram, never both: reusing one as the
+    other kind raises ``ValueError``.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
+        self._counters: Dict[str, int] = {}
         self._histograms: Dict[str, Histogram] = {}
 
-    def _check_free(self, name: str, table: Dict[str, Any]) -> None:
-        for other in (self._counters, self._gauges, self._histograms):
-            if other is not table and name in other:
-                raise ValueError(f"metric {name!r} already registered as another kind")
-
-    def counter(self, name: str) -> Counter:
-        """The counter called ``name``, created if absent."""
-        with self._lock:
-            instrument = self._counters.get(name)
-            if instrument is None:
-                self._check_free(name, self._counters)
-                instrument = self._counters[name] = Counter()
-            return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge called ``name``, created if absent."""
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                self._check_free(name, self._gauges)
-                instrument = self._gauges[name] = Gauge()
-            return instrument
-
-    def histogram(self, name: str) -> Histogram:
-        """The histogram called ``name``, created if absent."""
-        with self._lock:
-            instrument = self._histograms.get(name)
-            if instrument is None:
-                self._check_free(name, self._histograms)
-                instrument = self._histograms[name] = Histogram()
-            return instrument
-
-    # -- convenience ---------------------------------------------------
-
     def inc(self, name: str, n: int = 1) -> None:
-        """Increment the counter ``name`` by ``n``."""
-        self.counter(name).inc(n)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set the gauge ``name``."""
-        self.gauge(name).set(value)
+        """Add ``n`` to the counter ``name`` (``n=0`` declares it at 0)."""
+        with self._lock:
+            if name not in self._counters:
+                _check_free(name, self._histograms)
+            self._counters[name] = self._counters.get(name, 0) + n
 
     def observe(self, name: str, value: float) -> None:
         """Record ``value`` on the histogram ``name``."""
-        self.histogram(name).observe(value)
+        with self._lock:
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                _check_free(name, self._counters)
+                histogram = self._histograms[name] = Histogram()
+            histogram.observe(value)
+
+    def counters(self, prefix: str = "") -> Dict[str, int]:
+        """The counters whose names start with ``prefix``, sorted by name."""
+        with self._lock:
+            return {
+                name: self._counters[name]
+                for name in sorted(self._counters)
+                if name.startswith(prefix)
+            }
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-native view of every instrument.
+        """JSON-native view of every counter and histogram.
 
-        Returns ``{"counters": {name: int}, "gauges": {name: float},
-        "histograms": {name: summary}}`` with names sorted for stable
-        output.
+        Returns ``{"counters": {name: int}, "histograms": {name:
+        summary}}`` with names sorted for stable output.
         """
         with self._lock:
             return {
                 "counters": {
-                    name: self._counters[name].value
-                    for name in sorted(self._counters)
-                },
-                "gauges": {
-                    name: self._gauges[name].value for name in sorted(self._gauges)
+                    name: self._counters[name] for name in sorted(self._counters)
                 },
                 "histograms": {
                     name: self._histograms[name].summary()
@@ -192,7 +137,39 @@ class MetricsRegistry:
             }
 
 
-# -- unified snapshots over the pre-existing stat surfaces -------------
+def _check_free(name: str, other: Dict[str, Any]) -> None:
+    if name in other:
+        raise ValueError(f"metric {name!r} already registered as another kind")
+
+
+class CounterView:
+    """Read-only attributes over registry counters; absent ones read 0.
+
+    ``names`` maps each attribute to the counter it reads, in the order
+    :meth:`as_dict` lists them.
+    """
+
+    __slots__ = ("_metrics", "_names")
+
+    def __init__(self, metrics: MetricsRegistry, names: Mapping[str, str]) -> None:
+        self._metrics = metrics
+        self._names = dict(names)
+
+    def __getattr__(self, attr: str) -> int:
+        if attr.startswith("_"):  # unset slots (copy/pickle) stay errors
+            raise AttributeError(attr)
+        try:
+            return self.as_dict()[attr]
+        except KeyError:
+            raise AttributeError(attr) from None
+
+    def as_dict(self) -> Dict[str, int]:
+        """Every attribute's current value."""
+        counters = self._metrics.counters()
+        return {attr: counters.get(name, 0) for attr, name in self._names.items()}
+
+
+# -- the combined snapshots ---------------------------------------------
 
 
 def session_metrics(session: Any) -> Dict[str, Any]:
@@ -240,23 +217,23 @@ def session_metrics(session: Any) -> Dict[str, Any]:
 def serve_metrics(server: Any) -> Dict[str, Any]:
     """The :func:`session_metrics` view extended with serve-layer state.
 
-    Adds the daemon's job counters (with derived coalescing ratio),
-    queue depth / in-flight gauges, executor pool shape, result-store
-    counters, the executor's resilience state (retry/breaker/deadline
-    configuration, ``resilience.*`` counters) and the server registry's
-    lifecycle histograms (``serve.queue_wait_s``, ``serve.exec_s``).
+    Adds the daemon's ``serve`` counters (with the derived coalescing
+    ratio), queue depth and in-flight count, executor pool shape, the
+    result store's counters, the executor's resilience state
+    (retry/breaker/deadline configuration, ``resilience.*`` counters)
+    and the lifecycle histograms (``serve.queue_wait_s``,
+    ``serve.exec_s``).  Every counter here is read from the session's
+    registry.
     """
     snap = session_metrics(server.session)
-    counters = server.stats.as_dict()
-    submitted = counters.get("submitted", 0)
-    coalesced = counters.get("coalesced", 0)
-    serve: Dict[str, Any] = dict(counters)
-    serve["coalescing_ratio"] = coalesced / submitted if submitted else None
+    serve: Dict[str, Any] = server.stats.as_dict()
+    submitted = serve["submitted"]
+    serve["coalescing_ratio"] = serve["coalesced"] / submitted if submitted else None
     serve["queue_depth"] = server.queue.depth
     serve["inflight"] = len(server._inflight)
     serve["pools"] = server.executor.stats()
     snap["serve"] = serve
     snap["store"] = None if server.store is None else server.store.stats()
     snap["resilience"] = server.executor.resilience_stats()
-    snap["timings"] = server.metrics.snapshot()["histograms"]
+    snap["timings"] = server.session.metrics.snapshot()["histograms"]
     return snap

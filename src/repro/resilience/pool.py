@@ -137,7 +137,6 @@ class PoolSupervisor:
             except BrokenProcessPool as exc:  # raised by ``use(pool)``
                 self.metrics.inc("resilience.pool_broken")
                 self.discard(pool)
-                self.metrics.inc("resilience.pool_recreated")
                 if self.breaker is not None:
                     self.breaker.record_failure()
                     if self.breaker.state != CLOSED:

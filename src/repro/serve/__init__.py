@@ -37,7 +37,7 @@ from repro.serve.protocol import (
     ProtocolError,
     job_spec_key,
 )
-from repro.serve.queue import JobTicket, PriorityJobQueue, ServeStats
+from repro.serve.queue import JobTicket, PriorityJobQueue
 from repro.serve.scheduler import JobExecutor
 from repro.serve.server import PopsServer, ServeConfig, start_server_thread
 from repro.serve.store import ResultStore
@@ -49,7 +49,6 @@ __all__ = [
     "job_spec_key",
     "JobTicket",
     "PriorityJobQueue",
-    "ServeStats",
     "JobExecutor",
     "PopsServer",
     "ServeConfig",

@@ -1,4 +1,4 @@
-"""Priority job queue, coalescing tickets and serve-level counters.
+"""Priority job queue and coalescing tickets.
 
 A :class:`JobTicket` is one unit of queued work: the spec-hash key, the
 payload, and the fan-out surface -- every client waiting on the same
@@ -19,35 +19,6 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
-
-
-@dataclass
-class ServeStats:
-    """Daemon-level counters (the ``status`` endpoint's ``serve`` block).
-
-    ``submitted`` counts accepted submit requests; of those,
-    ``store_hits`` were answered from the content-addressed store,
-    ``coalesced`` attached to an in-flight ticket, and the rest were
-    enqueued and eventually ``executed`` or ``failed``.  ``rejected``
-    counts submits refused because the daemon was draining;
-    ``cancelled`` counts queued tickets withdrawn by the ``cancel`` op,
-    and ``timeouts`` the jobs that died on their deadline (a subset of
-    ``failed``).
-    """
-
-    submitted: int = 0
-    executed: int = 0
-    failed: int = 0
-    coalesced: int = 0
-    store_hits: int = 0
-    rejected: int = 0
-    connections: int = 0
-    cancelled: int = 0
-    timeouts: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view for the status event."""
-        return dict(self.__dict__)
 
 
 @dataclass

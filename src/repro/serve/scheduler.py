@@ -36,11 +36,10 @@ The executor is also where the resilience layer lives (see the
   job tests the pool again (half-open) and a success restores it.
 
 Every retry, timeout, trip and fallback increments a ``resilience.*``
-counter on the executor's :class:`~repro.obs.metrics.MetricsRegistry`
-(the server shares its registry, so all of it surfaces in
-``serve_metrics`` and the ``metrics`` protocol op).  A sweep's pool
-events land on the session's registry instead and surface in the
-session counters.
+counter on the session's :class:`~repro.obs.metrics.MetricsRegistry`
+(``Session.metrics``), the one registry the optimize pool, the sweep
+pools and the server all count on; :meth:`JobExecutor.resilience_stats`
+is a view over it.
 
 Results always cross this boundary in *serialized* form (the record's
 lossless dict), which is exactly what the coalescing fan-out and the
@@ -62,7 +61,6 @@ from repro.api.session import (
     Session,
     _optimize_job_worker,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.resilience import CircuitBreaker, JobTimeoutError, RetryPolicy
 from repro.resilience import faults
 from repro.resilience.pool import PoolFactory, PoolSupervisor, PoolUnavailable
@@ -96,9 +94,6 @@ class JobExecutor:
     breaker:
         Circuit breaker over the process-pool path; trips to in-thread
         execution after K consecutive pool failures.
-    metrics:
-        Registry the ``resilience.*`` counters land on (the server
-        passes its own so everything shows up in ``serve_metrics``).
     timeout_s:
         Default per-job deadline; ``Job.timeout_s`` or a submit-level
         ``timeout_s`` override it per job.  ``None`` disables deadlines.
@@ -114,7 +109,6 @@ class JobExecutor:
         procs: int = 0,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        metrics: Optional[MetricsRegistry] = None,
         timeout_s: Optional[float] = None,
         pool_factory: Optional[PoolFactory] = None,
     ) -> None:
@@ -127,11 +121,10 @@ class JobExecutor:
         self.heavy_threads = heavy_threads
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.timeout_s = timeout_s
         #: The optimize jobs' process pool, built on first use.
         self.supervisor = PoolSupervisor(
-            procs, self.retry, self.metrics, self.breaker, pool_factory
+            procs, self.retry, session.metrics, self.breaker, pool_factory
         )
         self._light = ThreadPoolExecutor(
             max_workers=threads, thread_name_prefix="pops-light"
@@ -162,8 +155,8 @@ class JobExecutor:
     def pool_name(self, kind: str) -> str:
         """``"heavy"`` or ``"light"`` -- the pool :meth:`executor_for` picks.
 
-        Job-lifecycle events and the serve metrics report this label so
-        operators can see which pool each kind actually landed on.
+        Job-lifecycle events report this label so operators can see
+        which pool each kind actually landed on.
         """
         return "heavy" if kind in HEAVY_KINDS else "light"
 
@@ -211,7 +204,7 @@ class JobExecutor:
             future.cancel()  # free the slot if it never started
             with self._lock:
                 self._abandoned += 1
-            self.metrics.inc("resilience.timeouts")
+            self.session.metrics.inc("resilience.timeouts")
             log.warning("%s job exceeded its %.3fs deadline", kind, deadline)
             raise JobTimeoutError(
                 f"{kind} job exceeded its {deadline:g}s deadline",
@@ -267,7 +260,7 @@ class JobExecutor:
             return self.session.optimize(job).to_dict()
         if JOB_ERROR_KEY in outcome:
             raise outcome[JOB_ERROR_KEY]
-        self.session.stats.jobs_run += 1
+        self.session.metrics.inc("jobs_run")
         return outcome
 
     def _run_sweep(
@@ -323,7 +316,6 @@ class JobExecutor:
 
     def resilience_stats(self) -> Dict[str, Any]:
         """Retry/deadline/breaker state for ``serve_metrics``."""
-        counters = self.metrics.snapshot()["counters"]
         return {
             "retry": {
                 "attempts": self.retry.attempts,
@@ -333,9 +325,5 @@ class JobExecutor:
             "timeout_s": self.timeout_s,
             "abandoned": self._abandoned,
             "breaker": self.breaker.as_dict(),
-            "counters": {
-                name: value
-                for name, value in counters.items()
-                if name.startswith("resilience.")
-            },
+            "counters": self.session.metrics.counters("resilience."),
         }

@@ -12,6 +12,11 @@ TCP loopback optionally), speaks the NDJSON protocol of
 * the in-flight coalescing table (``spec key -> ticket``) and the
   optional content-addressed :class:`~repro.serve.store.ResultStore`.
 
+The daemon keeps no counters of its own: the executor, the store and
+the server all count on the session's registry (``Session.metrics``),
+and the ``serve``, ``store`` and ``resilience`` blocks of ``status`` and
+the ``metrics`` op are views over it.
+
 Lifecycle: ``await start()`` binds the socket and spawns workers;
 ``await wait_closed()`` parks until a shutdown request (or
 :meth:`shutdown`) completes.  A draining shutdown stops accepting new
@@ -31,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import __version__
 from repro.api.session import Session
-from repro.obs.metrics import MetricsRegistry, serve_metrics
+from repro.obs.metrics import CounterView, serve_metrics
 from repro.obs.trace import Stopwatch
 from repro.resilience import CircuitBreaker, JobTimeoutError, RetryPolicy
 from repro.serve.protocol import (
@@ -46,7 +51,7 @@ from repro.serve.protocol import (
     validate_request,
     validate_submit,
 )
-from repro.serve.queue import JobTicket, PriorityJobQueue, ServeStats
+from repro.serve.queue import JobTicket, PriorityJobQueue
 from repro.serve.scheduler import JobExecutor
 from repro.serve.store import ResultStore
 
@@ -55,6 +60,26 @@ from repro.serve.store import ResultStore
 #: embedding application (or ``pops serve --log-level``) configures
 #: handlers -- opt-in by design.
 log = logging.getLogger("repro.serve")
+
+#: The ``serve`` block (``PopsServer.stats``): attribute -> registry
+#: counter.  ``submitted`` counts accepted submit requests; of those,
+#: ``store_hits`` were answered from the result store, ``coalesced``
+#: attached to an in-flight ticket, and the rest were enqueued and
+#: eventually ``executed`` or ``failed``.  ``rejected`` counts submits
+#: refused while draining, ``cancelled`` queued tickets withdrawn by the
+#: ``cancel`` op, and ``timeouts`` the jobs that died on their deadline
+#: (a subset of ``failed``).
+SERVE_COUNTERS = {
+    "submitted": "serve.submitted",
+    "executed": "serve.executed",
+    "failed": "serve.failed",
+    "coalesced": "serve.coalesced",
+    "store_hits": "store.hits",
+    "rejected": "serve.rejected",
+    "connections": "serve.connections",
+    "cancelled": "serve.cancelled",
+    "timeouts": "resilience.timeouts",
+}
 
 
 @dataclass
@@ -112,11 +137,10 @@ class PopsServer:
                 bench_dir=config.bench_dir, cache_limit=config.cache_limit
             )
         )
-        #: Lifecycle timing histograms (``serve.queue_wait_s``,
-        #: ``serve.exec_s``), per-kind/pool counters and the executor's
-        #: ``resilience.*`` counters; snapshotted by the ``metrics`` op
-        #: and the ``status`` timings block.
-        self.metrics = MetricsRegistry()
+        #: The session's registry: the ``serve.*`` counters, the store's
+        #: and executor's counters and the lifecycle timing histograms
+        #: (``serve.queue_wait_s``, ``serve.exec_s``).
+        self.metrics = self.session.metrics
         self.executor = JobExecutor(
             self.session,
             threads=config.threads,
@@ -127,14 +151,16 @@ class PopsServer:
                 failures=config.breaker_failures,
                 cooldown_s=config.breaker_cooldown_s,
             ),
-            metrics=self.metrics,
             timeout_s=config.timeout_s,
             pool_factory=config.pool_factory,
         )
         self.store = (
-            ResultStore(config.store_dir) if config.store_dir else None
+            ResultStore(config.store_dir, self.metrics)
+            if config.store_dir
+            else None
         )
-        self.stats = ServeStats()
+        #: Read-only view of the ``serve`` block (:data:`SERVE_COUNTERS`).
+        self.stats = CounterView(self.metrics, SERVE_COUNTERS)
         self.queue = PriorityJobQueue()
         self._inflight: Dict[str, JobTicket] = {}
         self._draining = False
@@ -253,7 +279,7 @@ class PopsServer:
                 self.queue.task_done()
                 continue
             self._inflight.pop(ticket.key, None)
-            self.stats.failed += 1
+            self.metrics.inc("serve.failed")
             ticket.publish(
                 error_event(
                     RuntimeError("server shut down before the job started"),
@@ -313,7 +339,7 @@ class PopsServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.stats.connections += 1
+        self.metrics.inc("serve.connections")
         try:
             raw = await reader.readline()
             if not raw:
@@ -380,7 +406,7 @@ class PopsServer:
         self, message: Dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         if self._draining:
-            self.stats.rejected += 1
+            self.metrics.inc("serve.rejected")
             log.warning("submit rejected: server is draining")
             await self._send(
                 writer,
@@ -395,13 +421,12 @@ class PopsServer:
             await self._send(writer, error_event(exc))
             return
         key = job_spec_key(kind, payload)
-        self.stats.submitted += 1
+        self.metrics.inc("serve.submitted")
 
         # 1. Content-addressed store: repeat submissions skip the queue.
         if self.store is not None and not message.get("no_cache"):
             record = self.store.get(key)
             if record is not None:
-                self.stats.store_hits += 1
                 log.info("job %s kind=%s served from store", key[:12], kind)
                 await self._send(
                     writer,
@@ -440,7 +465,7 @@ class PopsServer:
             self._inflight[key] = ticket
             self.queue.put(ticket)
         else:
-            self.stats.coalesced += 1
+            self.metrics.inc("serve.coalesced")
         log.info(
             "job %s kind=%s accepted (coalesced=%s, queue_depth=%d)",
             key[:12],
@@ -483,8 +508,7 @@ class PopsServer:
             assert ticket is not None
             ticket.cancelled = True
             self._inflight.pop(key, None)
-            self.stats.cancelled += 1
-            self.metrics.inc("serve.jobs.cancelled")
+            self.metrics.inc("serve.cancelled")
             log.info("job %s cancelled while queued", key[:12])
             ticket.publish(
                 error_event(
@@ -520,8 +544,6 @@ class PopsServer:
         pool = self.executor.pool_name(ticket.kind)
         queue_wait_s = time.perf_counter() - ticket.created_s
         self.metrics.observe("serve.queue_wait_s", queue_wait_s)
-        self.metrics.inc(f"serve.jobs.{ticket.kind}")
-        self.metrics.inc(f"serve.pool.{pool}")
         ticket.publish(
             {
                 "event": "started",
@@ -557,10 +579,8 @@ class PopsServer:
                 ticket.timeout_s,
             )
         except JobTimeoutError as exc:
-            self.stats.failed += 1
-            self.stats.timeouts += 1
-            self.metrics.inc("serve.jobs.failed")
-            self.metrics.inc("serve.jobs.timeout")
+            # The executor counted it as ``resilience.timeouts``.
+            self.metrics.inc("serve.failed")
             log.error(
                 "job %s kind=%s timed out after %gs",
                 ticket.key[:12],
@@ -571,14 +591,13 @@ class PopsServer:
                 exc, key=ticket.key, timeout=True, timeout_s=exc.timeout_s
             )
         except Exception as exc:
-            self.stats.failed += 1
-            self.metrics.inc("serve.jobs.failed")
+            self.metrics.inc("serve.failed")
             log.error(
                 "job %s kind=%s failed: %s", ticket.key[:12], ticket.kind, exc
             )
             outcome = error_event(exc, key=ticket.key)
         else:
-            self.stats.executed += 1
+            self.metrics.inc("serve.executed")
             elapsed_s = sw.elapsed_s
             self.metrics.observe("serve.exec_s", elapsed_s)
             log.info(

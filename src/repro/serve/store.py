@@ -19,6 +19,11 @@ on first contact: the unparsable file is renamed to ``<key>.json.corrupt``
 the next completion rewrites the key.  ``key in store`` answers through
 the same read path as :meth:`ResultStore.get`, so membership and
 retrieval can never disagree about a corrupt entry.
+
+The store keeps no counters of its own: lookups, writes and quarantines
+count as ``store.hits`` / ``store.misses`` / ``store.writes`` /
+``store.quarantined`` on the registry it is given (the daemon passes
+its session's), and :meth:`ResultStore.stats` reads them back.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import os
 import tempfile
 from typing import Any, Dict, Optional
 
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience import faults
 
 #: Suffix quarantined (unparsable) record files are renamed to.
@@ -37,15 +43,12 @@ CORRUPT_SUFFIX = ".corrupt"
 class ResultStore:
     """Spec-hash addressed archive of ``RunRecord.to_dict()`` envelopes."""
 
-    def __init__(self, root: str) -> None:
+    def __init__(self, root: str, metrics: MetricsRegistry) -> None:
         self.root = str(root)
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.quarantined = 0
+        self.metrics = metrics
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ResultStore({self.root!r}, hits={self.hits}, misses={self.misses})"
+        return f"ResultStore({self.root!r})"
 
     def path_for(self, key: str) -> str:
         """Where a key's record lives (whether or not it exists yet)."""
@@ -56,7 +59,7 @@ class ResultStore:
 
         The single read path behind :meth:`get` and ``in``: a file that
         exists but does not parse to a dict is renamed to
-        ``*.corrupt`` (never re-read, counted in :attr:`quarantined`)
+        ``*.corrupt`` (never re-read, counted as ``store.quarantined``)
         so membership, retrieval and the next overwrite all agree it is
         gone.
         """
@@ -80,15 +83,12 @@ class ResultStore:
             os.replace(path, path + CORRUPT_SUFFIX)
         except OSError:  # pragma: no cover - lost the race / read-only fs
             return
-        self.quarantined += 1
+        self.metrics.inc("store.quarantined")
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored record dict for a key, or ``None`` on a miss."""
         record = self._read(key)
-        if record is None:
-            self.misses += 1
-            return None
-        self.hits += 1
+        self.metrics.inc("store.misses" if record is None else "store.hits")
         return record
 
     def put(self, key: str, record: Dict[str, Any]) -> str:
@@ -114,7 +114,7 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        self.writes += 1
+        self.metrics.inc("store.writes")
         return path
 
     def __contains__(self, key: str) -> bool:
@@ -137,12 +137,13 @@ class ResultStore:
 
     def stats(self) -> Dict[str, Any]:
         """JSON-native counters for the status endpoint."""
+        counters = self.metrics.counters("store.")
         return {
             "root": self.root,
             "records": self.count(),
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "quarantined": self.quarantined,
+            **{
+                name: counters.get(f"store.{name}", 0)
+                for name in ("hits", "misses", "writes", "quarantined")
+            },
             "corrupt_files": self.corrupt_count(),
         }

@@ -26,7 +26,6 @@ from repro.obs import (
     PassTelemetry,
     Stopwatch,
     Tracer,
-    hit_rate,
     load_trace_jsonl,
     render_record_telemetry,
     render_spans,
@@ -110,16 +109,17 @@ class TestTracer:
 
 
 class TestMetricsRegistry:
-    def test_counters_gauges_histograms(self):
+    def test_counters_and_histograms(self):
         registry = MetricsRegistry()
         registry.inc("jobs", 2)
         registry.inc("jobs")
-        registry.set_gauge("depth", 4.0)
+        registry.inc("idle", 0)
         for value in (1.0, 2.0, 3.0):
             registry.observe("wait_s", value)
         snap = registry.snapshot()
-        assert snap["counters"] == {"jobs": 3}
-        assert snap["gauges"] == {"depth": 4.0}
+        assert snap["counters"] == {"idle": 0, "jobs": 3}
+        assert set(snap) == {"counters", "histograms"}
+        assert registry.counters("jo") == {"jobs": 3}
         wait = snap["histograms"]["wait_s"]
         assert wait["count"] == 3
         assert wait["total"] == 6.0
@@ -129,9 +129,41 @@ class TestMetricsRegistry:
 
     def test_name_kind_collision_raises(self):
         registry = MetricsRegistry()
-        registry.counter("x")
+        registry.inc("x")
         with pytest.raises(ValueError):
-            registry.gauge("x")
+            registry.observe("x", 1.0)
+        registry.observe("y", 1.0)
+        with pytest.raises(ValueError):
+            registry.inc("y")
+
+    def test_concurrent_increments_are_not_lost(self):
+        import sys
+        import threading
+
+        registry = MetricsRegistry()
+        n_threads, n_incs = 8, 5000
+        barrier = threading.Barrier(n_threads)
+
+        def work():
+            barrier.wait(timeout=5)
+            for _ in range(n_incs):
+                registry.inc("jobs")
+                registry.observe("wait_s", 1.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        snap = registry.snapshot()
+        assert snap["counters"]["jobs"] == n_threads * n_incs
+        assert snap["histograms"]["wait_s"]["count"] == n_threads * n_incs
 
     def test_empty_histogram_summary(self):
         h = Histogram()
@@ -139,10 +171,6 @@ class TestMetricsRegistry:
         assert summary["count"] == 0
         assert summary["mean"] is None
         assert summary["p99"] is None
-
-    def test_hit_rate(self):
-        assert hit_rate(0, 0) is None
-        assert hit_rate(3, 1) == 0.75
 
 
 class TestTelemetry:

@@ -271,14 +271,14 @@ class TestInlinePool:
 
 class TestStoreQuarantine:
     def test_corrupt_entry_is_quarantined_not_resurrected(self, tmp_path):
-        store = ResultStore(str(tmp_path / "s"))
+        store = ResultStore(str(tmp_path / "s"), MetricsRegistry())
         key = "ab" + "0" * 62
         store.put(key, {"kind": "bounds", "x": 1})
         with open(store.path_for(key), "w", encoding="utf-8") as handle:
             handle.write('{"kind": "bounds", "x":')  # torn mid-value
         assert store.get(key) is None          # miss, not a crash
         assert key not in store                # membership agrees with get
-        assert store.quarantined == 1
+        assert store.stats()["quarantined"] == 1
         import os
 
         assert os.path.exists(store.path_for(key) + ".corrupt")
@@ -291,23 +291,23 @@ class TestStoreQuarantine:
         assert store.get(key) == {"kind": "bounds", "x": 2}
 
     def test_non_dict_payload_is_quarantined(self, tmp_path):
-        store = ResultStore(str(tmp_path / "s"))
+        store = ResultStore(str(tmp_path / "s"), MetricsRegistry())
         key = "cd" + "0" * 62
         store.put(key, {"ok": True})
         with open(store.path_for(key), "w", encoding="utf-8") as handle:
             handle.write('[1, 2, 3]\n')  # valid JSON, wrong shape
         assert key not in store
-        assert store.quarantined == 1
+        assert store.stats()["quarantined"] == 1
 
     def test_torn_write_site_produces_a_real_torn_file(self, tmp_path):
-        store = ResultStore(str(tmp_path / "s"))
+        store = ResultStore(str(tmp_path / "s"), MetricsRegistry())
         key = "ef" + "0" * 62
         with faults.installed(FaultPlan([FaultSpec(faults.SITE_TORN_WRITE)])):
             store.put(key, {"kind": "bounds", "payload": list(range(50))})
         # The injected half-write landed at the final path; first contact
         # quarantines it and the store reports a miss.
         assert store.get(key) is None
-        assert store.quarantined == 1
+        assert store.stats()["quarantined"] == 1
         assert store.corrupt_count() == 1
 
 
@@ -320,10 +320,7 @@ def _fast_retry(attempts=3):
 
 class TestExecutorDeadline:
     def test_deadline_expiry_raises_job_timeout(self):
-        metrics = MetricsRegistry()
-        executor = JobExecutor(
-            Session(), threads=1, heavy_threads=1, metrics=metrics
-        )
+        executor = JobExecutor(Session(), threads=1, heavy_threads=1)
         plan = FaultPlan([FaultSpec(faults.SITE_EXEC_SLOW, delay_s=1.0)])
         job = Job(benchmark="fpd")
         try:
@@ -360,6 +357,33 @@ class TestExecutorDeadline:
         finally:
             executor.shutdown(wait=False)
 
+    def test_served_timeout_is_counted_once(self, tmp_path):
+        config = ServeConfig(
+            socket_path=str(tmp_path / "pops.sock"), threads=1,
+            heavy_threads=1,
+        )
+        server, thread = start_server_thread(config)
+        client = ServeClient(socket_path=config.socket_path)
+        plan = FaultPlan([FaultSpec(faults.SITE_EXEC_SLOW, delay_s=1.0)])
+        try:
+            with faults.installed(plan):
+                with pytest.raises(ServeClientError, match="deadline"):
+                    client.submit(
+                        "bounds", Job(benchmark="fpd"), timeout_s=0.05
+                    )
+            status = client.status()
+        finally:
+            server.request_shutdown(drain=True)
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert status["serve"]["failed"] == status["serve"]["timeouts"] == 1
+        counters = status["session"]["counters"]
+        assert counters["serve.failed"] == 1
+        assert [name for name in counters if "timeout" in name] == [
+            "resilience.timeouts"
+        ]
+        assert counters["resilience.timeouts"] == 1
+
     def test_job_timeout_validation_and_serialization(self):
         with pytest.raises(JobError):
             Job(benchmark="fpd", timeout_s=0.0)
@@ -378,10 +402,9 @@ class TestPoolSupervision:
         job = Job(benchmark="fpd", tc_ratio=1.4)
         baseline = session.optimize(job).to_dict()
 
-        metrics = MetricsRegistry()
         executor = JobExecutor(
             session, threads=1, heavy_threads=1, procs=1,
-            retry=_fast_retry(), metrics=metrics, pool_factory=InlinePool,
+            retry=_fast_retry(), pool_factory=InlinePool,
         )
         plan = FaultPlan([FaultSpec(faults.SITE_POOL_BROKEN, times=1)])
         try:
@@ -391,7 +414,6 @@ class TestPoolSupervision:
             counters = executor.resilience_stats()["counters"]
             assert counters["resilience.pool_broken"] == 1
             assert counters["resilience.retries"] == 1
-            assert counters["resilience.pool_recreated"] == 1
             assert "resilience.fallbacks" not in counters
             assert executor.breaker.state == CLOSED
             assert executor.procs == 1  # crash never downgrades procs
@@ -672,6 +694,33 @@ class TestSweepSupervision:
         assert len(result.records) == 2
         assert len(calls) == 1
         assert _counters(session)["resilience.fallbacks"] == 1
+
+    def test_served_sweep_pool_events_reach_the_resilience_block(
+        self, pool_builds, tmp_path
+    ):
+        # The daemon's sweep pool counts on the session registry, the one
+        # the ``resilience`` block of ``pops status`` reads.
+        config = ServeConfig(
+            socket_path=str(tmp_path / "pops.sock"), threads=1,
+            heavy_threads=1, procs=2,
+        )
+        spec = SweepSpec(
+            benchmarks=("fpd", "adder16"), tc_ratio_points=(1.4,),
+            scope="path",
+        )
+        server, thread = start_server_thread(config)
+        client = ServeClient(socket_path=config.socket_path)
+        plan = FaultPlan([FaultSpec(faults.SITE_POOL_BROKEN, times=1)])
+        try:
+            with faults.installed(plan):
+                client.submit("sweep", spec)
+            counters = client.status()["resilience"]["counters"]
+        finally:
+            server.request_shutdown(drain=True)
+            thread.join(timeout=60)
+        assert len(pool_builds) == 2  # the broken pool and its replacement
+        assert counters["resilience.pool_broken"] == 1
+        assert counters["resilience.retries"] == 1
 
 
 # -- client resilience -------------------------------------------------

@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import BoundedCache, Job, RunRecord, Session, SweepSpec
+from repro.obs import MetricsRegistry
 from repro.serve import (
     PopsServer,
     ProtocolError,
@@ -242,7 +243,7 @@ class TestSessionConcurrency:
 
 class TestResultStore:
     def test_round_trip_and_counters(self, tmp_path):
-        store = ResultStore(str(tmp_path / "s"))
+        store = ResultStore(str(tmp_path / "s"), MetricsRegistry())
         key = job_spec_key("bounds", {"benchmark": "fpd"})
         assert store.get(key) is None
         store.put(key, {"kind": "bounds", "x": 1})
@@ -255,7 +256,7 @@ class TestResultStore:
         }
 
     def test_corrupt_record_is_a_miss(self, tmp_path):
-        store = ResultStore(str(tmp_path / "s"))
+        store = ResultStore(str(tmp_path / "s"), MetricsRegistry())
         key = "ab" + "0" * 62
         store.put(key, {"ok": True})
         with open(store.path_for(key), "w", encoding="utf-8") as handle:
