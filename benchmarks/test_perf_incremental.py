@@ -13,6 +13,7 @@ import time
 
 from repro.iscas.loader import load_benchmark
 from repro.protocol.report import format_table
+from repro.timing.critical_paths import k_critical_paths
 from repro.timing.incremental import IncrementalSta
 from repro.timing.sta import analyze, trace_critical_gates
 
@@ -143,3 +144,11 @@ def test_kernel_structure_refresh_c7552(benchmark, lib):
 
     delay = benchmark(trial)
     assert delay > 0
+
+
+def test_kernel_extract_c7552(benchmark, lib):
+    """The circuit driver's per-pass K-path extraction on its engine's annotation."""
+    circuit = load_benchmark("c7552")
+    sta = IncrementalSta(circuit, lib).result()
+    paths = benchmark(k_critical_paths, circuit, lib, k=4, sta=sta)
+    assert len(paths) == 4

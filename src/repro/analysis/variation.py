@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.cells.library import Library, default_library
+from repro.cells.library import Library
 from repro.process.technology import Technology
 from repro.timing.evaluation import path_delay_ps
 from repro.timing.path import BoundedPath
@@ -116,8 +116,8 @@ def delay_distribution(
     corners reproduce that loop's rng stream draw for draw
     (:func:`repro.mc.corners.sample_corners`), and the kernel preserves
     its operation order, so for the default cell set the samples match
-    the retired scalar implementation (kept as
-    :func:`_scalar_corner_samples` for the equivalence tests) bit for
+    the retired scalar implementation (kept as the reference in
+    ``tests/test_variation.py``) bit for
     bit on every platform where ``Generator.normal`` is one ziggurat
     draw -- the tests pin a 1e-12 relative tolerance as the portable
     contract.
@@ -150,45 +150,6 @@ def delay_distribution(
         p99_ps=float(np.percentile(samples, 99)),
         samples_ps=samples,
     )
-
-
-def _rebind_path(path: BoundedPath, library: Library) -> BoundedPath:
-    """The same path structure with cells from another library."""
-    from dataclasses import replace
-
-    stages = tuple(
-        replace(stage, cell=library.cell(stage.cell.kind))
-        for stage in path.stages
-    )
-    return replace(path, stages=stages)
-
-
-def _scalar_corner_samples(
-    path: BoundedPath,
-    sizes: Sequence[float],
-    library: Library,
-    spec: VariationSpec,
-    n_samples: int,
-    seed: int,
-) -> np.ndarray:
-    """The original per-corner loop: one library rebuild per sample.
-
-    Retired from :func:`delay_distribution` in favour of the batch
-    kernel; kept as the reference the equivalence tests and the
-    ``benchmarks/test_perf_mc.py`` speedup bar compare against.  Note
-    the rebuild re-binds the path to ``default_library`` cells, so this
-    reference is only meaningful for default cell sets (the kernel uses
-    the path's actual cells -- see :func:`delay_distribution`).
-    """
-    rng = np.random.default_rng(seed)
-    samples = np.empty(n_samples)
-    for i in range(n_samples):
-        corner_tech = perturbed_technology(library.tech, spec, rng)
-        corner_lib = default_library(corner_tech,
-                                     k_ratio=library.inverter.k_ratio)
-        corner_path = _rebind_path(path, corner_lib)
-        samples[i] = path_delay_ps(corner_path, sizes, corner_lib)
-    return samples
 
 
 def required_guard_band(

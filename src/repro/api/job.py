@@ -231,8 +231,7 @@ class SweepSpec:
     tc_ps_points / tc_ratio_points:
         Exactly one must be non-empty: the constraint axis, absolute or
         ``Tmin``-relative.  Points are run sorted ascending within each
-        benchmark so every point's nearest already-solved neighbour is
-        its predecessor (the warm-start seed).
+        benchmark, and one benchmark's points share its warm state.
     scope / k_paths / max_passes / weight_modes / restructuring:
         Protocol knobs; ``weight_modes`` and ``restructuring`` are axes
         (every combination is a grid point), the rest are shared.
@@ -351,8 +350,8 @@ class SweepSpec:
 
         Points of one benchmark are contiguous and sorted by constraint
         within each (weight mode, restructuring) combination, so a
-        runner that walks the list in order always has the nearest
-        already-solved neighbour immediately behind it.
+        runner that walks the list in order can carry one benchmark's
+        warm state from point to point.
         """
         out: List[Job] = []
         for benchmark in self.benchmarks:

@@ -13,7 +13,9 @@ memoizes every expensive derived artefact around it:
   when only sizes changed since the last analysis, the miss re-times
   just the affected fan-out cones instead of the whole circuit (the
   result stays bit-identical to a from-scratch run, and stale state is
-  impossible -- any timing-relevant mutation changes the state hash).
+  impossible -- any timing-relevant mutation changes the state hash);
+  every circuit-scope optimize job, sweep points included, copies it to
+  seed its own engine instead of building a second one.
 
 Operations take a declarative :class:`~repro.api.job.Job` and return a
 :class:`~repro.api.records.RunRecord` -- a serializable envelope that the
@@ -60,7 +62,7 @@ from repro.obs.trace import NULL_TRACER, Stopwatch, Tracer
 from repro.process.technology import Technology
 from repro.protocol.optimizer import WarmStart, optimize_circuit, optimize_path
 from repro.resilience.pool import RETRY_ONCE, PoolSupervisor, PoolUnavailable
-from repro.sizing.bounds import DelayBounds, delay_bounds
+from repro.sizing.bounds import DelayBounds, delay_bounds, tmin_memo
 from repro.timing.critical_paths import ExtractedPath, critical_path
 from repro.timing.incremental import IncrementalSta
 from repro.timing.sta import StaResult
@@ -101,7 +103,7 @@ class Session:
         An optional :class:`repro.obs.Tracer`.  When given (and enabled)
         every job method runs inside a ``session.<op>`` span, the
         circuit optimizer records pass/path spans and the incremental
-        engines emit ``sta.update`` events.  The default is the shared
+        engines record timed ``sta.update`` spans.  The default is the shared
         :data:`~repro.obs.NULL_TRACER`, whose overhead is a single
         attribute check -- results are byte-identical either way.
 
@@ -306,7 +308,7 @@ class Session:
                 self._engines[skey] = engine
             return engine.result()
         # Refresh the tracer attachment on every reuse: the session's
-        # tracer decides whether this update emits ``sta.update`` events,
+        # tracer decides whether this update records an ``sta.update`` span,
         # and a stale attachment from an earlier traced run must not
         # outlive it.
         engine.tracer = self.tracer if self.tracer.enabled else None
@@ -316,7 +318,31 @@ class Session:
             if own.cin_ff != gate.cin_ff:
                 own.cin_ff = gate.cin_ff
                 changed.append(name)
-        return engine.update(changed)
+        # The cached annotation feeds path extraction: it needs the arc
+        # timings, which ``update`` leaves out of its own return value.
+        engine.update(changed)
+        return engine.result()
+
+    def _job_engine(self, circuit: Circuit) -> Optional[IncrementalSta]:
+        """A private engine over a copy of ``circuit``, seeded from the cache.
+
+        The session's engine for ``circuit``'s structure normally
+        annotates the very state the job starts from (the job's delay
+        bounds were timed on it), so a copy re-synced to ``circuit``
+        re-times nothing, where a fresh build re-times the whole circuit.
+        The copy is taken under the structure's populate lock, so a
+        concurrent re-time is never read half-done, and the job's edits
+        never reach the cached engine.  ``None`` when the session holds
+        no engine for the structure (an evicted entry): the optimizer
+        then builds its own.
+        """
+        skey = (self._fp, circuit.structure_key())
+        with self._populate_lock(self._sta_cache.name, skey):
+            with self._lock:
+                seed = self._engines.peek(skey)
+            if seed is None:
+                return None
+            return IncrementalSta(circuit.copy(), self._library, seed=seed)
 
     def critical_path(self, circuit: Circuit) -> ExtractedPath:
         """Critical-path extraction, memoized on the circuit state hash."""
@@ -505,15 +531,18 @@ class Session:
     def optimize(self, job: Job, warm: Optional[WarmStart] = None) -> RunRecord:
         """Run the Fig. 7 protocol for one job (path or circuit scope).
 
-        ``warm`` threads a sweep's carry-over state (neighbour-seeded
-        incremental engine plus pure-function memos) into the circuit
-        driver; payloads are byte-identical with or without it (see
-        :class:`~repro.protocol.optimizer.WarmStart`).
+        ``warm`` threads a sweep's carry-over state (pure-function memos)
+        into the circuit driver; payloads are byte-identical with or
+        without it (see :class:`~repro.protocol.optimizer.WarmStart`).
+        ``warm``'s eq. 4 memo covers the whole job, so the delay-bounds
+        solve of the critical path is shared with the optimizer's first
+        pass.  A circuit job seeds its engine from this session's cached
+        one (see :meth:`_job_engine`) instead of building a second.
         """
         sw = Stopwatch()
         with self.tracer.span(
             "session.optimize", job=job.name, scope=job.scope
-        ):
+        ), tmin_memo(warm.bounds_memo if warm is not None else None):
             self.metrics.inc("jobs_run")
             job = self._prepare_job(job)
             circuit = self.resolve_circuit(job)
@@ -552,6 +581,7 @@ class Session:
                     allow_restructuring=job.allow_restructuring,
                     warm=warm,
                     tracer=self.tracer if self.tracer.enabled else None,
+                    engine=self._job_engine(circuit),
                 )
                 kind = KIND_OPTIMIZE_CIRCUIT
                 extra = {

@@ -11,10 +11,10 @@ turns one :class:`~repro.api.session.Session` into those curves::
     print(result.summary.format())          # trade-off table, * = Pareto
     best = result.summary.frontier()        # delay/area/power frontier
 
-Sweep points over one benchmark are warm-started (neighbour-seeded
-incremental STA engines, shared bounds/extraction memos) yet produce
-payloads byte-identical to cold runs; campaigns journal every completed
-point to disk and resume by skipping them.
+Sweep points over one benchmark are warm-started (incremental STA
+engines copied from the session's, shared bounds/extraction memos) yet
+produce payloads byte-identical to cold runs; campaigns journal every
+completed point to disk and resume by skipping them.
 """
 
 from repro.explore.runner import SweepResult, run_sweep

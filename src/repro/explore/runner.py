@@ -9,9 +9,10 @@ payload byte (the determinism tests compare warm against cold runs):
 * the session's own memoization -- characterisation, benchmark parsing,
   bounds and extraction of the shared starting state are paid once;
 * a :class:`~repro.protocol.optimizer.WarmStart` per benchmark group --
-  each constraint point seeds its incremental STA engine from the
-  nearest already-solved neighbour (its predecessor in the sorted
-  grid) and shares the pure-function ``Tmin``/extraction memos;
+  constraint points share the pure-function ``Tmin``/extraction memos,
+  and each point's incremental STA engine is a copy of the session's
+  cached engine of the shared starting state, so it starts without
+  re-timing anything;
 * a chunked scheduler -- benchmark groups are independent, so they can
   fan out over a process pool, one warm chunk per worker, under the
   same :class:`~repro.resilience.pool.PoolSupervisor` contract as

@@ -136,8 +136,12 @@ class Circuit:
             raise NetlistError(f"circuit {self.name!r} contains a combinational cycle")
         return order
 
-    def validate(self) -> None:
-        """Check structural sanity: no dangling nets, acyclic, outputs exist."""
+    def validate(self) -> List[str]:
+        """Check structural sanity: no dangling nets, acyclic, outputs exist.
+
+        Returns the topological order the acyclicity check sorted, so
+        callers that validate before walking the circuit sort it once.
+        """
         known: Set[str] = set(self.inputs) | set(self.gates)
         for gate in self.gates.values():
             for source in gate.fanin:
@@ -150,7 +154,7 @@ class Circuit:
                 raise NetlistError(f"primary output {out!r} is undefined")
         if not self.outputs:
             raise NetlistError("circuit has no primary outputs")
-        self.topological_order()
+        return self.topological_order()
 
     def depth(self) -> int:
         """Maximum logic depth in gate counts."""

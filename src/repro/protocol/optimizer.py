@@ -301,20 +301,17 @@ class WarmStart:
     """Carry-over state for warm-starting a sweep over one benchmark.
 
     Passing the same instance to consecutive :func:`optimize_circuit`
-    calls on copies of one netlist makes each call *seed from the nearest
-    already-solved neighbour* instead of starting cold:
+    calls on copies of one netlist lets each call reuse what earlier
+    calls computed instead of recomputing it:
 
-    * ``engine`` -- the incremental STA engine of the previous call, left
-      annotated with that call's best state.  The next call retargets it
-      at its own working copy and re-times only the diff (sizes the
-      neighbour moved, structure it added), not the whole circuit.
     * ``bounds_memo`` -- eq. 4 fixed-point solves
       (:func:`~repro.sizing.bounds.min_delay_bound`) keyed by library
       and path fingerprint; constraint points work on largely identical
       candidate paths, and a path's ``Tmin`` does not depend on ``Tc``.
-      Activated around the whole run via
-      :func:`~repro.sizing.bounds.tmin_memo`, so the
-      sizing/buffering/restructuring layers all share it.  The
+      Activated via :func:`~repro.sizing.bounds.tmin_memo` around the
+      whole run, so the sizing/buffering/restructuring layers all share
+      it; a Session activates it around the whole job, so the job's
+      delay-bounds solve shares it too.  The
       activation is a context variable: it is visible only to the thread
       (or asyncio task) running this call, so concurrent runs in one
       process each see their own memo.
@@ -322,11 +319,10 @@ class WarmStart:
       circuit state; every sweep point starts from the same netlist
       state, so the first pass's extraction is shared verbatim.
 
-    Every memo serves values that are pure functions of their key, and
-    the engine's annotation is bit-identical to a cold build by the
-    incremental-STA contract -- warm-started results are therefore
-    *identical* to cold ones, not merely close (the sweep determinism
-    tests assert byte equality of the record payloads).
+    Every memo serves values that are pure functions of their key --
+    warm-started results are therefore *identical* to cold ones, not
+    merely close (the sweep determinism tests assert byte equality of
+    the record payloads).
 
     A warm start is **bound to one library**: the first
     :func:`optimize_circuit` call pins ``library``, and later calls with
@@ -336,7 +332,6 @@ class WarmStart:
     :meth:`~repro.cells.library.Library.fingerprint`).
     """
 
-    engine: Optional[IncrementalSta] = None
     bounds_memo: Dict[Tuple, Tuple] = field(default_factory=dict)
     extraction_memo: Dict[Tuple, List] = field(default_factory=dict)
     library: Optional[Library] = None
@@ -387,6 +382,7 @@ def optimize_circuit(
     warm: Optional[WarmStart] = None,
     rescue_buffers: bool = False,
     tracer: Optional[Tracer] = None,
+    engine: Optional[IncrementalSta] = None,
 ) -> CircuitOptimizationResult:
     """Apply the path protocol over a circuit's critical paths.
 
@@ -396,9 +392,14 @@ def optimize_circuit(
     it changes net names).  Iterates until the STA critical delay meets
     ``Tc`` or the improvement stalls.
 
-    ``warm`` carries engine state and pure-function memos between calls
-    of a Tc-sweep (see :class:`WarmStart`); it changes only how much work
-    is re-done, never the result.
+    ``warm`` carries pure-function memos between calls of a Tc-sweep
+    (see :class:`WarmStart`); it changes only how much work is re-done,
+    never the result.  ``engine`` (optional) is an incremental engine
+    under ``library`` and default boundary conditions whose circuit is
+    a private copy of ``circuit``: the run takes both over as its
+    working copy and engine instead of copying ``circuit`` and running
+    a full build (a Session passes a copy of its cached engine, which
+    already annotates the job's start state).
 
     ``rescue_buffers`` (opt-in) adds a netlist-level endgame when the
     path protocol alone leaves ``Tc`` unmet: greedy
@@ -426,25 +427,23 @@ def optimize_circuit(
                 "WarmStart is bound to a different library; "
                 "use one WarmStart per library"
             )
-    working = circuit.copy()
-    results: List[ProtocolResult] = []
-    passes = 0
-
     # One incremental engine tracks ``working`` for the whole run: each
     # pass re-times only the fan-out cones of the gates it touched
     # instead of re-running full STA (bit-identical by construction).
-    # A warm engine from a neighbouring sweep point is retargeted -- its
-    # re-sync pays the neighbour-to-start diff instead of a full build.
-    if warm is not None and warm.engine is not None:
-        engine = warm.engine
-        engine.retarget(working)
-    else:
+    if engine is None:
+        working = circuit.copy()
         engine = IncrementalSta(working, library)
-    if warm is not None:
-        warm.engine = engine
+    elif engine.library is not library or engine.circuit is circuit:
+        raise ValueError(
+            "engine must time a private copy of the circuit under this library"
+        )
+    else:
+        working = engine.circuit
+    results: List[ProtocolResult] = []
+    passes = 0
     # The run owns the engine's tracer attachment: enabled tracers see
-    # ``sta.update`` events, anything else resets a possibly stale
-    # attachment left by an earlier traced run on a warm engine.
+    # ``sta.update`` spans, anything else resets a possibly stale
+    # attachment on an engine the caller handed over.
     trc = tracer if tracer is not None and tracer.enabled else None
     engine.tracer = trc
     span_tracer = trc if trc is not None else NULL_TRACER

@@ -87,11 +87,13 @@ class DelayBounds:
 #: library)`` for default solver arguments, yet a Tc-sweep re-runs it on
 #: largely identical candidate paths at every constraint point -- by far
 #: the protocol's hottest pure computation.  The memo is *opt-in and
-#: scoped*: the circuit optimizer activates a
-#: :class:`~repro.protocol.optimizer.WarmStart`'s dict around one
-#: optimization and deactivates it after, so independent (cold) jobs
-#: never share state, and values served from the memo are exactly the
-#: tuples a fresh solve would produce.  A context variable, not a module
+#: scoped*: a warm-started job activates its
+#: :class:`~repro.protocol.optimizer.WarmStart`'s dict around the whole
+#: job (the Session around the job's delay bounds and optimization, the
+#: circuit optimizer around its own run) and deactivates it after, so
+#: independent (cold) jobs never share state, and values served from
+#: the memo are exactly the tuples a fresh solve would produce.  A
+#: context variable, not a module
 #: global: each thread (and asyncio task) sees only the memo it
 #: activated, so concurrent jobs on one Session cannot swap or leak each
 #: other's memo.

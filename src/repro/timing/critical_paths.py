@@ -5,7 +5,9 @@ user-specified number of critical paths (refs. [11-12] of the paper).  We
 extract them with a best-first search guided by a reverse potential
 computed under the STA slews -- an A*-style enumeration that yields paths
 in (near) decreasing delay order -- then re-evaluate each candidate path
-exactly and sort.
+exactly and sort.  The potential is a backward max over the arc timings
+the STA annotation already holds, so extraction re-times only the arcs
+the search itself expands.
 
 Extracted paths are converted to :class:`~repro.timing.path.BoundedPath`
 objects: off-path fan-out becomes the fixed ``cside`` loads, the driving
@@ -126,39 +128,29 @@ def apply_path_sizes(
 
 
 def _reverse_potentials(
-    circuit: Circuit,
-    library: Library,
-    sizes: Mapping[str, float],
-    loads: Mapping[str, float],
-    slews: Mapping[str, Dict[Edge, float]],
-    fanout: Mapping[str, List[str]],
+    outputs: Sequence[str], sta: StaResult
 ) -> Dict[Tuple[str, Edge], float]:
     """Max remaining delay from (net, edge) to any primary output.
 
-    Uses the STA slews as the per-pin input transition estimate, which
-    makes the potential a tight (if not strictly admissible) heuristic.
+    A backward max over the annotation's arc timings, gates taken in
+    reverse topological order: each arc was timed under the STA slew at
+    its input pin, which makes the potential a tight (if not strictly
+    admissible) heuristic.  A net that reaches no output gets no entry.
     """
-    output_set = set(circuit.outputs)
-    backend = library.delay_backend
     potential: Dict[Tuple[str, Edge], float] = {}
-    order = circuit.topological_order()
-    all_nets = list(circuit.inputs) + order
-    for net in reversed(all_nets):
-        for edge in (Edge.RISE, Edge.FALL):
-            best = 0.0 if net in output_set else float("-inf")
-            slew = slews.get(net, {}).get(edge, 0.0)
-            for succ in fanout.get(net, ()):
-                gate = circuit.gates[succ]
-                cell = library.cell(gate.kind)
-                timing = backend.gate_timing(
-                    cell, library.tech, sizes[succ], loads[succ], slew, edge
-                )
-                downstream = potential.get((succ, timing.output_edge))
-                if downstream is None:
-                    continue
-                best = max(best, timing.delay_ps + downstream)
-            if best > float("-inf"):
-                potential[(net, edge)] = best
+    for net in outputs:
+        potential[(net, Edge.RISE)] = 0.0
+        potential[(net, Edge.FALL)] = 0.0
+    arcs = sta.arcs
+    for name in reversed(sta.order):
+        for source, in_edge, delay_ps, out_edge in arcs[name]:
+            downstream = potential.get((name, out_edge))
+            if downstream is None:
+                continue
+            candidate = delay_ps + downstream
+            current = potential.get((source, in_edge))
+            if current is None or candidate > current:
+                potential[(source, in_edge)] = candidate
     return potential
 
 
@@ -176,15 +168,18 @@ def k_critical_paths(
     Returns them sorted by exact path delay, longest first.  ``k = 1``
     degenerates to the classic critical path.  ``sta`` skips the
     internal full analysis when the caller already holds the circuit's
-    current annotation (e.g. from an
-    :class:`~repro.timing.incremental.IncrementalSta` engine); it must
-    have been computed under the same transition/load parameters.
+    current annotation (e.g. an
+    :class:`~repro.timing.incremental.IncrementalSta` engine's
+    :meth:`~repro.timing.incremental.IncrementalSta.result`); it must
+    have been computed under the same transition/load parameters and
+    carry its arc timings.
     Either way its ``loads_ff`` also freeze every candidate's side and
-    terminal loads, and one fan-out map serves the whole search.
+    terminal loads, its arc timings and topological order give the
+    search potential, and one fan-out map serves the whole search.  The
+    circuit is validated by the analysis that produced the annotation.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    circuit.validate()
     sizes = gate_sizes(circuit, library)
     if sta is None:
         sta = analyze(
@@ -194,13 +189,14 @@ def k_critical_paths(
             output_load_ff=output_load_ff,
             sizes=sizes,
         )
+    elif sta.arcs is None:
+        raise ValueError(
+            "sta carries no arc timings; pass IncrementalSta.result(), "
+            "not the return value of update()"
+        )
     loads = sta.loads_ff
-    slews = {
-        net: {edge: ev.transition_ps for edge, ev in per_net.items()}
-        for net, per_net in sta.arrivals.items()
-    }
     fanout = circuit.fanout_map()
-    potential = _reverse_potentials(circuit, library, sizes, loads, slews, fanout)
+    potential = _reverse_potentials(circuit.outputs, sta)
 
     counter = itertools.count()
     heap: List[Tuple[float, int, str, Edge, float, float, Tuple[str, ...]]] = []

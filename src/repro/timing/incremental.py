@@ -24,6 +24,11 @@ equals a from-scratch :func:`~repro.timing.sta.analyze` of the current
 circuit *bit for bit* (asserted by the randomized-edit equivalence
 tests).  The full engine stays the oracle; this engine is the hot path.
 
+The annotation includes every gate's timed fan-in arcs
+(:attr:`~repro.timing.sta.StaResult.arcs`): a re-evaluated gate stores
+its new arcs even when its arrivals come out unchanged, so they too
+equal the full engine's after any edit sequence.
+
 Two kinds of change are supported:
 
 * **sizing changes** -- mutate ``gate.cin_ff`` on the circuit, then call
@@ -35,6 +40,11 @@ Two kinds of change are supported:
   undo), then call :meth:`refresh_structure`; the structure tables are
   rebuilt (cheap dictionary work) and only gates whose size, load or
   fan-in actually differ seed the worklist.
+
+A new engine can also start from another engine's annotation
+(``seed=``) instead of a full build: the tables are copied and re-synced
+to its own circuit by the same structure diff, and the seed is left
+untouched.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.wireload import WireLoadModel
 from repro.timing.delay_model import Edge
 from repro.timing.sta import (
+    ArcTiming,
     ArrivalEvent,
     StaResult,
     critical_endpoint,
@@ -95,6 +106,12 @@ class IncrementalSta:
     a *reference* to ``circuit`` (not a copy): callers mutate the
     circuit, then tell the engine what changed.
 
+    ``seed`` (optional) is an engine over the same library and boundary
+    conditions whose annotation this one copies instead of running a
+    full build; the copy is then re-synced to ``circuit`` by the
+    :meth:`refresh_structure` diff, so only what differs between the
+    two circuits is re-timed.  The seed itself is only read.
+
     Notes
     -----
     :meth:`result` returns a view whose top-level dicts are snapshots
@@ -110,6 +127,7 @@ class IncrementalSta:
         input_transition_ps: float = 0.0,
         output_load_ff: Optional[float] = None,
         wire_model: Optional[WireLoadModel] = None,
+        seed: Optional["IncrementalSta"] = None,
     ) -> None:
         self.circuit = circuit
         self.library = library
@@ -125,7 +143,12 @@ class IncrementalSta:
         # overhead gate enforces.
         self.tracer: Optional[Any] = None
         self._arrivals: Dict[str, Dict[Edge, ArrivalEvent]] = {}
-        self.rebuild()
+        self._arcs: Dict[str, Tuple[ArcTiming, ...]] = {}
+        if seed is None:
+            self.rebuild()
+        else:
+            self._copy_annotation(seed)
+            self.refresh_structure()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -150,9 +173,9 @@ class IncrementalSta:
             self.wire_model,
         )
 
-    def _build_structure(self) -> None:
-        """Topological order, levels, fan-out map and fan-in snapshot."""
-        self._order: List[str] = self.circuit.topological_order()
+    def _build_structure(self, order: List[str]) -> None:
+        """Levels, fan-out map and fan-in snapshot around ``order``."""
+        self._order: List[str] = order
         self._level: Dict[str, int] = {name: i for i, name in enumerate(self._order)}
         self._fanout: Dict[str, List[str]] = self.circuit.fanout_map()
         self._output_set: Set[str] = set(self.circuit.outputs)
@@ -172,9 +195,9 @@ class IncrementalSta:
 
     def rebuild(self) -> StaResult:
         """From-scratch propagation (the constructor's path)."""
-        self.circuit.validate()
+        order = self.circuit.validate()
         self.stats.full_builds += 1
-        self._build_structure()
+        self._build_structure(order)
         self._sizes: Dict[str, float] = {
             name: self._gate_size(name) for name in self.circuit.gates
         }
@@ -182,9 +205,10 @@ class IncrementalSta:
             name: self._gate_load(name) for name in self.circuit.gates
         }
         self._arrivals = {}
+        self._arcs = {}
         self._seed_inputs()
         for name in self._order:
-            self._arrivals[name] = propagate_gate(
+            self._arrivals[name], self._arcs[name] = propagate_gate(
                 self.circuit.gates[name],
                 self.library,
                 self._sizes[name],
@@ -193,6 +217,27 @@ class IncrementalSta:
             )
         self._refresh_critical()
         return self.result()
+
+    def _copy_annotation(self, seed: "IncrementalSta") -> None:
+        """Take over a copy of ``seed``'s tables (seeded construction)."""
+        if (
+            seed.library is not self.library
+            or seed.input_transition_ps != self.input_transition_ps
+            or seed.output_load_ff != self.output_load_ff
+            or seed.wire_model != self.wire_model
+        ):
+            raise ValueError(
+                "seed engine times under a different library or boundary "
+                "conditions"
+            )
+        # The re-sync that follows only reads the size, load and fan-in
+        # tables (to diff them) before replacing them, but edits the
+        # arrival and arc tables in place: only those two are copied.
+        self._sizes = seed._sizes
+        self._loads = seed._loads
+        self._fanin = seed._fanin
+        self._arrivals = dict(seed._arrivals)
+        self._arcs = dict(seed._arcs)
 
     def _refresh_critical(self) -> None:
         self.critical_delay_ps, self.critical_output = critical_endpoint(
@@ -209,8 +254,12 @@ class IncrementalSta:
         diff.  Raises ``KeyError`` on names that are not gates -- a
         structural edit requires :meth:`refresh_structure` instead.
 
-        When a :attr:`tracer` is attached (and enabled) each update
-        emits an ``sta.update`` event carrying the cone size actually
+        The returned annotation carries no arc timings
+        (:attr:`~repro.timing.sta.StaResult.arcs` is ``None``): call
+        :meth:`result` for the full annotation, e.g. to extract paths.
+
+        When a :attr:`tracer` is attached (and enabled) each update runs
+        inside a timed ``sta.update`` span carrying the cone size actually
         re-evaluated; with no tracer the cost over :meth:`_update_core`
         is a single attribute check.
         """
@@ -219,13 +268,12 @@ class IncrementalSta:
             return self._update_core(changed_gates)
         before = self.stats.gates_reevaluated
         truncated_before = self.stats.cone_truncations
-        result = self._update_core(changed_gates)
-        tracer.event(
-            "sta.update",
-            circuit=self.circuit.name,
-            cone_gates=self.stats.gates_reevaluated - before,
-            cone_truncations=self.stats.cone_truncations - truncated_before,
-        )
+        with tracer.span("sta.update", circuit=self.circuit.name) as span:
+            result = self._update_core(changed_gates)
+            span.set(
+                cone_gates=self.stats.gates_reevaluated - before,
+                cone_truncations=self.stats.cone_truncations - truncated_before,
+            )
         return result
 
     def _update_core(self, changed_gates: Iterable[str]) -> StaResult:
@@ -249,7 +297,9 @@ class IncrementalSta:
                 dirty.add(name)
         if dirty:
             self._propagate(dirty)
-        return self.result()
+        # The arc table is left out: copying it would cost O(circuit) on
+        # an O(cone) probe whose callers read the delay or the arrivals.
+        return self._snapshot(arcs=None)
 
     def refresh_structure(self) -> StaResult:
         """Re-sync after structural edits (gates added/removed/rewired).
@@ -259,12 +309,12 @@ class IncrementalSta:
         the gates that actually differ -- a trial buffer insertion pays
         dictionary work plus its fan-out cone, not a full STA.
         """
-        self.circuit.validate()
+        order = self.circuit.validate()
         self.stats.structure_refreshes += 1
         old_sizes = self._sizes
         old_loads = self._loads
         old_fanin = self._fanin
-        self._build_structure()
+        self._build_structure(order)
         self._sizes = {name: self._gate_size(name) for name in self.circuit.gates}
         self._loads = {name: self._gate_load(name) for name in self.circuit.gates}
 
@@ -272,6 +322,9 @@ class IncrementalSta:
         for net in list(self._arrivals):
             if net not in live:
                 del self._arrivals[net]
+        for name in list(self._arcs):
+            if name not in self.circuit.gates:
+                del self._arcs[name]
 
         dirty: Set[str] = set()
         event = ArrivalEvent(0.0, self.input_transition_ps)
@@ -297,14 +350,14 @@ class IncrementalSta:
     def retarget(self, circuit: Circuit) -> StaResult:
         """Re-point the engine at a different :class:`Circuit` object.
 
-        The warm-start primitive of the Tc-sweep layer: instead of paying
-        a from-scratch build for every sweep point, the engine keeps the
-        annotation of the previous point's circuit and re-propagates only
-        what differs -- size diffs, load diffs, gates added or removed.
-        The circuits need not share structure (``refresh_structure``
-        diffs both ways), but the closer they are, the less is re-timed;
-        the resulting annotation is bit-identical to a fresh build of the
-        new circuit either way.
+        Instead of paying a from-scratch build, the engine keeps the
+        annotation of its previous circuit and re-propagates only what
+        differs -- size diffs, load diffs, gates added or removed.  The
+        circuits need not share structure (``refresh_structure`` diffs
+        both ways), but the closer they are, the less is re-timed; the
+        resulting annotation is bit-identical to a fresh build of the new
+        circuit either way.  A seeded construction (``seed=``) runs the
+        same diff on a copy, leaving the seed engine as it was.
         """
         self.circuit = circuit
         return self.refresh_structure()
@@ -318,7 +371,7 @@ class IncrementalSta:
             _, name = heapq.heappop(heap)
             queued.discard(name)
             self.stats.gates_reevaluated += 1
-            best = propagate_gate(
+            best, self._arcs[name] = propagate_gate(
                 self.circuit.gates[name],
                 self.library,
                 self._sizes[name],
@@ -343,13 +396,21 @@ class IncrementalSta:
         """Current annotation as a :class:`~repro.timing.sta.StaResult`.
 
         Top-level dicts are copied (stable against later updates); the
-        per-net event dicts are shared but never mutated in place.
+        per-net event dicts, the arc tuples and the order list are
+        shared but never mutated in place.
         """
+        return self._snapshot(arcs=dict(self._arcs))
+
+    def _snapshot(
+        self, arcs: Optional[Dict[str, Tuple[ArcTiming, ...]]]
+    ) -> StaResult:
         return StaResult(
             arrivals=dict(self._arrivals),
             loads_ff=dict(self._loads),
             critical_delay_ps=self.critical_delay_ps,
             critical_output=self.critical_output,
+            arcs=arcs,
+            order=self._order,
         )
 
     def arrival(self, net: str, edge: Edge) -> float:

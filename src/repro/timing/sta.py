@@ -19,6 +19,11 @@ from repro.netlist.wireload import WireLoadModel
 from repro.timing.delay_model import Edge
 
 
+#: One timed fan-in arc of a gate: ``(driving net, input edge, delay ps,
+#: output edge)``, exactly as :func:`propagate_gate` timed it.
+ArcTiming = Tuple[str, Edge, float, Edge]
+
+
 @dataclass(frozen=True)
 class ArrivalEvent:
     """Latest arrival of one polarity at a net."""
@@ -43,12 +48,26 @@ class StaResult:
         Worst arrival over all primary outputs and polarities.
     critical_output:
         The (net, edge) achieving it.
+    arcs:
+        ``gate -> (ArcTiming, ...)``: every fan-in arc of the gate, timed
+        under its driver's arrival transition, in propagation order.
+        ``None`` on the result of
+        :meth:`~repro.timing.incremental.IncrementalSta.update`, which
+        leaves the O(circuit) copy to
+        :meth:`~repro.timing.incremental.IncrementalSta.result`.
+    order:
+        The gates in the topological order the validated circuit was
+        timed in (never mutated in place).  K-path extraction takes its
+        reverse potentials from ``arcs`` in this order instead of
+        re-sorting and re-timing the circuit.
     """
 
     arrivals: Dict[str, Dict[Edge, ArrivalEvent]]
     loads_ff: Dict[str, float]
     critical_delay_ps: float
     critical_output: Tuple[str, Edge]
+    arcs: Optional[Dict[str, Tuple[ArcTiming, ...]]]
+    order: List[str]
 
     def arrival(self, net: str, edge: Edge) -> float:
         """Arrival time of ``edge`` at ``net`` (ps)."""
@@ -123,8 +142,8 @@ def propagate_gate(
     size_ff: float,
     load_ff: float,
     arrivals: Mapping[str, Dict[Edge, ArrivalEvent]],
-) -> Dict[Edge, ArrivalEvent]:
-    """Latest arrival events at one gate output from its fan-in arrivals.
+) -> Tuple[Dict[Edge, ArrivalEvent], Tuple[ArcTiming, ...]]:
+    """Latest arrival events at one gate output, plus its timed arcs.
 
     The per-gate propagation kernel of block-based STA, shared verbatim
     by :func:`analyze` and :class:`~repro.timing.incremental.IncrementalSta`
@@ -133,12 +152,15 @@ def propagate_gate(
     Each arc is timed through the library's delay backend; the analytic
     backend delegates straight to
     :func:`~repro.timing.delay_model.gate_delay`, keeping the default
-    stack bit-identical to the pre-backend code.
+    stack bit-identical to the pre-backend code.  The second element
+    records every arc's delay and output edge (see
+    :attr:`StaResult.arcs`).
     """
     cell = library.cell(gate.kind)
     backend = library.delay_backend
     tech = library.tech
     best: Dict[Edge, ArrivalEvent] = {}
+    arcs: List[ArcTiming] = []
     for source in gate.fanin:
         for in_edge, event in arrivals[source].items():
             timing = backend.gate_timing(
@@ -149,6 +171,7 @@ def propagate_gate(
                 event.transition_ps,
                 in_edge,
             )
+            arcs.append((source, in_edge, timing.delay_ps, timing.output_edge))
             candidate = ArrivalEvent(
                 time_ps=event.time_ps + timing.delay_ps,
                 transition_ps=timing.tout_ps,
@@ -157,7 +180,7 @@ def propagate_gate(
             current = best.get(timing.output_edge)
             if current is None or candidate.time_ps > current.time_ps:
                 best[timing.output_edge] = candidate
-    return best
+    return best, tuple(arcs)
 
 
 def critical_endpoint(
@@ -186,7 +209,7 @@ def analyze(
     wire_model: Optional["WireLoadModel"] = None,
 ) -> StaResult:
     """Run polarity-aware STA; returns arrivals and the critical delay."""
-    circuit.validate()
+    order = circuit.validate()
     if sizes is None:
         sizes = gate_sizes(circuit, library)
     loads = external_loads(circuit, library, output_load_ff, sizes, wire_model)
@@ -198,9 +221,11 @@ def analyze(
             Edge.FALL: ArrivalEvent(0.0, input_transition_ps),
         }
 
-    for name in circuit.topological_order():
-        gate = circuit.gates[name]
-        arrivals[name] = propagate_gate(gate, library, sizes[name], loads[name], arrivals)
+    arcs: Dict[str, Tuple[ArcTiming, ...]] = {}
+    for name in order:
+        arrivals[name], arcs[name] = propagate_gate(
+            circuit.gates[name], library, sizes[name], loads[name], arrivals
+        )
 
     critical_time, critical = critical_endpoint(arrivals, circuit.outputs)
     return StaResult(
@@ -208,6 +233,8 @@ def analyze(
         loads_ff=loads,
         critical_delay_ps=critical_time,
         critical_output=critical,
+        arcs=arcs,
+        order=order,
     )
 
 

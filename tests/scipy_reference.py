@@ -1,5 +1,9 @@
 """Reference optimizers built on scipy -- ground truth for the tests.
 
+Test-only: scipy is a ``dev``/``test`` extra, not a runtime dependency
+of the ``repro`` package, so this module lives with the tests that use
+it (``tests/test_reference.py``).
+
 The eq. 4 / eq. 6 engines are fast *because* they exploit the model's
 structure.  To certify them, this module solves the same problems with a
 general-purpose numerical optimizer (L-BFGS-B over log-sizes, exact

@@ -8,6 +8,7 @@ from repro.buffering.netlist_insertion import insert_buffer_pair
 from repro.cells.library import default_library
 from repro.iscas.loader import load_benchmark
 from repro.process.technology import CMOS018
+from repro.timing.critical_paths import critical_path
 from repro.timing.sta import analyze
 
 
@@ -126,6 +127,18 @@ class TestInvalidation:
         # ...and the re-sizing was served incrementally, not by full STA.
         assert _cache(session, "engines")["hits"] == 1
 
+    def test_resized_circuit_extracts_like_a_fresh_analysis(self):
+        session = Session()
+        circuit = load_benchmark("fpd")
+        session.critical_path(circuit)
+        circuit.gates[next(iter(circuit.gates))].cin_ff = 42.0
+        served = session.sta(circuit)
+        assert served.arcs == analyze(circuit, session.library).arcs
+        assert session.critical_path(circuit) == critical_path(
+            circuit, session.library
+        )
+        assert _cache(session, "engines")["hits"] == 1
+
     def test_structural_mutation_gets_fresh_engine(self):
         session = Session()
         circuit = load_benchmark("fpd")
@@ -217,3 +230,144 @@ class TestJobPlumbing:
     def test_unknown_benchmark_raises_keyerror(self):
         with pytest.raises(KeyError):
             Session().bounds(Job(benchmark="c0000"))
+
+
+#: The circuit job the one-engine/one-solve tests run.
+C432_JOB = Job(benchmark="c432", tc_ratio=1.3, scope="circuit", max_passes=3)
+
+
+@pytest.fixture()
+def full_builds(monkeypatch):
+    """Count from-scratch ``IncrementalSta`` builds."""
+    from repro.timing.incremental import IncrementalSta
+
+    calls = {"n": 0}
+    real = IncrementalSta.rebuild
+
+    def counting(self):
+        calls["n"] += 1
+        return real(self)
+
+    monkeypatch.setattr(IncrementalSta, "rebuild", counting)
+    return calls
+
+
+class TestOneEnginePerJob:
+    """A circuit job seeds its engine from the session's cached one."""
+
+    def test_cold_circuit_job_builds_one_engine(self, full_builds):
+        Session().optimize(C432_JOB)
+        assert full_builds["n"] == 1
+
+    def test_sweep_points_build_one_engine(self, full_builds):
+        from repro.protocol.optimizer import WarmStart
+
+        session = Session()
+        warm = WarmStart()
+        session.optimize(C432_JOB, warm=warm)
+        assert full_builds["n"] == 1
+        # The next point too copies the cached engine of the pristine
+        # start.
+        session.optimize(
+            Job(benchmark="c432", tc_ratio=1.6, scope="circuit", max_passes=3),
+            warm=warm,
+        )
+        assert full_builds["n"] == 1
+
+    def test_job_engine_times_a_private_copy(self):
+        session = Session()
+        circuit = session.resolve_circuit(C432_JOB)
+        session.sta(circuit)
+        engine = session._job_engine(circuit)
+        assert engine.circuit is not circuit
+        assert engine.circuit.state_key() == circuit.state_key()
+        assert engine.stats.full_builds == 0
+        assert engine.stats.gates_reevaluated == 0
+
+    def test_job_edits_leave_the_cached_engine_pristine(self):
+        session = Session()
+        record = session.optimize(C432_JOB)
+        pristine = load_benchmark("c432")
+        assert record.payload.circuit.state_key() != pristine.state_key()
+        cached = session._engines.peek(
+            (session.library.fingerprint(), pristine.structure_key())
+        )
+        assert cached.stats.updates == 0
+        got = cached.result()
+        ref = analyze(pristine, session.library)
+        assert got.arrivals == ref.arrivals
+        assert got.loads_ff == ref.loads_ff
+        assert got.arcs == ref.arcs
+        assert got.critical_delay_ps == ref.critical_delay_ps
+
+    def test_threads_seeded_from_one_engine_match_a_serial_run(self, monkeypatch):
+        """Barrier-stepped: both jobs copy the cached engine, then both run."""
+        import threading
+
+        jobs = [
+            C432_JOB,
+            Job(benchmark="c432", tc_ratio=1.6, scope="circuit", max_passes=3),
+        ]
+        serial = Session()
+        expected = [serial.optimize(job).to_json(with_timing=False) for job in jobs]
+
+        session = Session()
+        session.bounds(Job(benchmark="c432"))  # builds the cached engine
+        skey = (session.library.fingerprint(), load_benchmark("c432").structure_key())
+        seed = session._engines.peek(skey)
+        seeded = threading.Barrier(2, timeout=60)
+        seeds = []
+        real = Session._job_engine
+
+        def stepped(self, circuit):
+            seeds.append(self._engines.peek(skey))
+            engine = real(self, circuit)
+            seeded.wait()  # neither job starts its passes before both copied
+            return engine
+
+        monkeypatch.setattr(Session, "_job_engine", stepped)
+        got = [None, None]
+
+        def run(index):
+            got[index] = session.optimize(jobs[index]).to_json(with_timing=False)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seeds == [seed, seed]
+        assert got == expected
+
+
+class TestOneTminSolvePerPath:
+    def test_first_sweep_point_solves_each_path_once(self, monkeypatch):
+        """The delay-bounds solve shares the warm memo with the first pass."""
+        import repro.protocol.optimizer as optimizer
+        import repro.restructuring.demorgan as demorgan
+        import repro.sizing.sensitivity as sensitivity
+        from repro.protocol.optimizer import WarmStart
+        from repro.sizing import bounds
+
+        real = bounds.min_delay_bound
+        eligible_paths = set()
+        misses = []
+
+        def spy(path, library, *args, **kwargs):
+            memo = bounds._ACTIVE_TMIN_MEMO.get()
+            assert memo is not None, "eq. 4 solved outside the sweep's memo"
+            before = len(memo)
+            result = real(path, library, *args, **kwargs)
+            if not args and kwargs.get("cref_ff") is None and set(kwargs) <= {
+                "cref_ff", "polish"
+            }:
+                eligible_paths.add((kwargs.get("polish", True), path.fingerprint()))
+                misses.append(len(memo) - before)
+            return result
+
+        for module in (bounds, optimizer, sensitivity, insertion, demorgan):
+            monkeypatch.setattr(module, "min_delay_bound", spy)
+        Session().optimize(C432_JOB, warm=WarmStart())
+        assert sum(misses) == len(eligible_paths)
+        assert len(misses) > len(eligible_paths)  # the memo served repeats

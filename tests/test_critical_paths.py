@@ -47,12 +47,23 @@ class TestExtraction:
         edited = [names[i] for i in rng.choice(len(names), size=40, replace=False)]
         for name in edited:
             circuit.gates[name].cin_ff *= 2.5
-        paths = k_critical_paths(circuit, lib, k=4, sta=engine.update(edited))
+        engine.update(edited)
+        paths = k_critical_paths(circuit, lib, k=4, sta=engine.result())
         assert paths == k_critical_paths(circuit, lib, k=4)
         for extracted in paths:
             assert extracted.path == to_bounded_path(
                 circuit, lib, extracted.gate_names, extracted.input_edge
             )
+
+    def test_annotation_without_arc_timings_is_rejected(self, lib):
+        circuit = load_benchmark("c432")
+        engine = IncrementalSta(circuit, lib)
+        name = next(iter(circuit.gates))
+        circuit.gates[name].cin_ff = 2.0 * engine.sizes()[name]
+        light = engine.update([name])
+        assert light.arcs is None
+        with pytest.raises(ValueError, match="no arc timings"):
+            k_critical_paths(circuit, lib, k=2, sta=light)
 
     def test_k_validation(self, lib):
         with pytest.raises(ValueError):

@@ -32,13 +32,15 @@ def lib():
 
 
 def assert_matches_oracle(engine, circuit, lib, context=""):
-    """Every arrival, load and the critical endpoint, exactly equal."""
+    """Every arrival, load, arc timing and the critical endpoint, exactly."""
     got = engine.result()
     ref = analyze(circuit, lib)
     assert got.critical_delay_ps == ref.critical_delay_ps, context
     assert got.critical_output == ref.critical_output, context
     assert got.loads_ff == ref.loads_ff, context
     assert got.arrivals == ref.arrivals, context
+    assert got.arcs == ref.arcs, context
+    assert got.order == ref.order, context
 
 
 class TestFullBuild:
@@ -150,6 +152,49 @@ class TestStructureRefresh:
 
 EDIT_CIRCUITS = ("fpd", "c432", "c880")
 
+#: Edits per randomized sequence.
+EDIT_STEPS = 25
+
+
+def random_edit_sequence(name, lib, seed, steps=EDIT_STEPS):
+    """Drive an engine through random size edits and buffer insert/undo.
+
+    Yields ``(step, circuit, engine)`` after each edit; the sequence is a
+    pure function of ``(name, seed)``.
+    """
+    rng = random.Random(hash((name, seed)) & 0xFFFFFFFF)
+    circuit = load_benchmark(name)
+    engine = IncrementalSta(circuit, lib)
+    inserted = []
+    for step in range(steps):
+        roll = rng.random()
+        if roll < 0.70:
+            # Size edit: one gate, occasionally a handful.
+            count = 1 if rng.random() < 0.8 else rng.randint(2, 6)
+            chosen = rng.sample(list(circuit.gates), count)
+            for gate_name in chosen:
+                gate = circuit.gates[gate_name]
+                base = gate.cin_ff if gate.cin_ff is not None else 1.0
+                gate.cin_ff = max(base * rng.uniform(0.4, 2.5), 0.3)
+            engine.update(chosen)
+        elif roll < 0.85 or not inserted:
+            # Trial insertion kept.
+            candidates = [
+                g
+                for g in circuit.gates
+                if "_buf" not in g and f"{g}_bufa" not in circuit.gates
+            ]
+            target = rng.choice(candidates)
+            insert_buffer_pair(circuit, target, lib)
+            inserted.append(target)
+            engine.refresh_structure()
+        else:
+            # Undo of a previous insertion.
+            target = inserted.pop(rng.randrange(len(inserted)))
+            remove_buffer_pair(circuit, target)
+            engine.refresh_structure()
+        yield step, circuit, engine
+
 
 class TestRandomEditEquivalence:
     """The ISSUE's acceptance bar: randomized size/buffer edit sequences."""
@@ -157,37 +202,7 @@ class TestRandomEditEquivalence:
     @pytest.mark.parametrize("name", EDIT_CIRCUITS)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_edit_sequence_matches_oracle(self, lib, name, seed):
-        rng = random.Random(hash((name, seed)) & 0xFFFFFFFF)
-        circuit = load_benchmark(name)
-        engine = IncrementalSta(circuit, lib)
-        inserted = []
-        for step in range(25):
-            roll = rng.random()
-            if roll < 0.70:
-                # Size edit: one gate, occasionally a handful.
-                count = 1 if rng.random() < 0.8 else rng.randint(2, 6)
-                chosen = rng.sample(list(circuit.gates), count)
-                for gate_name in chosen:
-                    gate = circuit.gates[gate_name]
-                    base = gate.cin_ff if gate.cin_ff is not None else 1.0
-                    gate.cin_ff = max(base * rng.uniform(0.4, 2.5), 0.3)
-                engine.update(chosen)
-            elif roll < 0.85 or not inserted:
-                # Trial insertion kept.
-                candidates = [
-                    g
-                    for g in circuit.gates
-                    if "_buf" not in g and f"{g}_bufa" not in circuit.gates
-                ]
-                target = rng.choice(candidates)
-                insert_buffer_pair(circuit, target, lib)
-                inserted.append(target)
-                engine.refresh_structure()
-            else:
-                # Undo of a previous insertion.
-                target = inserted.pop(rng.randrange(len(inserted)))
-                remove_buffer_pair(circuit, target)
-                engine.refresh_structure()
+        for step, circuit, engine in random_edit_sequence(name, lib, seed):
             assert_matches_oracle(engine, circuit, lib, f"{name} seed={seed} step={step}")
 
     def test_adder_edit_sequence(self, lib):
@@ -385,3 +400,45 @@ class TestRetarget:
         third = load_benchmark("fpd")
         engine.retarget(third)
         assert_matches_oracle(engine, third, lib, "retarget pristine")
+
+
+class TestSeededEngine:
+    """An engine built from another engine's annotation (``seed=``)."""
+
+    def test_seeded_copy_matches_oracle_across_sizings(self, lib):
+        seed = IncrementalSta(load_benchmark("c432"), lib)
+        circuit = load_benchmark("c432")
+        for i, gate in enumerate(circuit.gates.values()):
+            if i % 5 == 0:
+                gate.cin_ff = 6.0
+        engine = IncrementalSta(circuit, lib, seed=seed)
+        assert engine.stats.full_builds == 0
+        assert engine.stats.gates_reevaluated < len(circuit.gates)
+        assert_matches_oracle(engine, circuit, lib, "seeded resize")
+
+    def test_seeded_copy_matches_oracle_across_structures(self, lib):
+        seed = IncrementalSta(load_benchmark("fpd"), lib)
+        circuit = load_benchmark("fpd")
+        insert_buffer_pair(circuit, next(iter(circuit.gates)), lib)
+        engine = IncrementalSta(circuit, lib, seed=seed)
+        assert_matches_oracle(engine, circuit, lib, "seeded insert")
+
+    def test_seed_is_left_untouched(self, lib):
+        seed_circuit = load_benchmark("c432")
+        seed = IncrementalSta(seed_circuit, lib)
+        circuit = load_benchmark("c432")
+        engine = IncrementalSta(circuit, lib, seed=seed)
+        names = list(circuit.gates)
+        for name in names[::7]:
+            circuit.gates[name].cin_ff = 5.5
+        engine.update(names[::7])
+        insert_buffer_pair(circuit, names[3], lib)
+        engine.refresh_structure()
+        assert_matches_oracle(engine, circuit, lib, "seeded copy edited")
+        assert_matches_oracle(seed, seed_circuit, lib, "seed after copy edits")
+        assert seed.stats.updates == 0
+
+    def test_seed_with_other_boundary_conditions_is_rejected(self, lib):
+        seed = IncrementalSta(load_benchmark("fpd"), lib, output_load_ff=10.0)
+        with pytest.raises(ValueError, match="seed"):
+            IncrementalSta(load_benchmark("fpd"), lib, seed=seed)

@@ -238,6 +238,22 @@ class TestSessionIntegration:
         assert "optimize.pass" in names
         assert "optimize.path" in names
 
+    def test_sta_update_is_a_timed_span_inside_the_passes(self):
+        tracer = Tracer()
+        Session(tracer=tracer).optimize(
+            Job(benchmark="c432", tc_ratio=1.3, scope="circuit", max_passes=2)
+        )
+        spans = tracer.to_dicts()
+        passes = {s["id"] for s in spans if s["name"] == "optimize.pass"}
+        updates = [
+            s for s in spans if s["name"] == "sta.update" and s["parent"] in passes
+        ]
+        assert updates
+        for span in updates:
+            assert span["dur_s"] > 0, span
+            assert span["attrs"]["cone_gates"] > 0, span
+            assert "cone_truncations" in span["attrs"], span
+
     def test_telemetry_on_record(self, traced_run):
         _, _, _, record = traced_run
         telemetry = record.telemetry

@@ -20,6 +20,7 @@ import pytest
 import repro.protocol.optimizer as opt
 from repro.api.serialization import circuit_result_from_dict, circuit_result_to_dict
 from repro.cells.gate_types import GateKind
+from repro.cells.library import default_library
 from repro.iscas.loader import load_benchmark
 from repro.netlist.circuit import Circuit
 from repro.protocol.domains import classify_constraint
@@ -231,11 +232,8 @@ class TestWarmStartIdentity:
         # state, not one full-circuit key per point per pass.
         assert warm.bounds_memo
         assert len(warm.extraction_memo) == 1
-        assert warm.engine is not None
 
     def test_warm_start_is_bound_to_one_library(self, lib):
-        from repro.cells.library import default_library
-
         circuit = load_benchmark("fpd")
         warm = WarmStart()
         optimize_circuit(circuit, lib, 1500.0, max_passes=1, warm=warm)
@@ -244,6 +242,42 @@ class TestWarmStartIdentity:
         # not be served from them.
         with pytest.raises(ValueError, match="different library"):
             optimize_circuit(circuit, default_library(), 1500.0, warm=warm)
+
+
+class TestHandedOverEngine:
+    """``optimize_circuit(engine=...)`` runs on the engine's own copy."""
+
+    def test_result_matches_a_fresh_build(self, lib, monkeypatch):
+        circuit = load_benchmark("fpd")
+        before = circuit.state_key()
+        tc = 0.8 * analyze(circuit, lib).critical_delay_ps
+        engine = IncrementalSta(circuit.copy(), lib)
+        refreshes = []
+        real = IncrementalSta.refresh_structure
+
+        def counting(self):
+            refreshes.append(self)
+            return real(self)
+
+        monkeypatch.setattr(IncrementalSta, "refresh_structure", counting)
+        handed = optimize_circuit(circuit, lib, tc, engine=engine)
+        handed_refreshes = len(refreshes)
+        fresh = optimize_circuit(circuit, lib, tc)
+        assert circuit_result_to_dict(handed) == circuit_result_to_dict(fresh)
+        assert handed.circuit is engine.circuit
+        assert engine.stats.full_builds == 1
+        assert circuit.state_key() == before
+        # The handed-over engine is already in sync: no re-sync (retarget)
+        # beyond the structural edits a fresh build's run makes too.
+        assert handed_refreshes == len(refreshes) - handed_refreshes
+
+    def test_engine_over_the_callers_circuit_or_library_is_rejected(self, lib):
+        circuit = load_benchmark("fpd")
+        with pytest.raises(ValueError, match="private copy"):
+            optimize_circuit(circuit, lib, 1500.0, engine=IncrementalSta(circuit, lib))
+        other = IncrementalSta(circuit.copy(), default_library(k_ratio=2.5))
+        with pytest.raises(ValueError, match="private copy"):
+            optimize_circuit(circuit, lib, 1500.0, engine=other)
 
 
 class TestOptimizerIntegration:

@@ -4,12 +4,13 @@ import pytest
 
 from repro.cells.gate_types import GateKind
 from repro.sizing.bounds import min_delay_bound
-from repro.sizing.reference import (
+from repro.sizing.sensitivity import distribute_constraint
+from repro.timing.path import make_path
+
+from scipy_reference import (
     reference_min_area_for_delay,
     reference_minimum_delay,
 )
-from repro.sizing.sensitivity import distribute_constraint
-from repro.timing.path import make_path
 
 
 class TestReferenceTmin:

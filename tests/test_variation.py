@@ -1,19 +1,47 @@
 """Tests for the process-variation Monte-Carlo extension."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.analysis.variation import (
     VariationSpec,
-    _scalar_corner_samples,
     delay_distribution,
     perturbed_technology,
     required_guard_band,
 )
 from repro.cells.gate_types import GateKind
+from repro.cells.library import default_library
 from repro.process.technology import CMOS025
 from repro.sizing.bounds import min_delay_bound
+from repro.timing.evaluation import path_delay_ps
 from repro.timing.path import make_path
+
+
+def scalar_corner_samples(path, sizes, library, spec, n_samples, seed):
+    """The original per-corner loop: one library rebuild per sample.
+
+    Retired from :func:`delay_distribution` in favour of the batch
+    kernel and kept here as the reference it is compared against.  The
+    rebuild re-binds the path to ``default_library`` cells, so this
+    reference is only meaningful for default cell sets (the kernel uses
+    the path's actual cells).
+    """
+    rng = np.random.default_rng(seed)
+    samples = np.empty(n_samples)
+    for i in range(n_samples):
+        corner_tech = perturbed_technology(library.tech, spec, rng)
+        corner_lib = default_library(corner_tech, k_ratio=library.inverter.k_ratio)
+        corner_path = replace(
+            path,
+            stages=tuple(
+                replace(stage, cell=corner_lib.cell(stage.cell.kind))
+                for stage in path.stages
+            ),
+        )
+        samples[i] = path_delay_ps(corner_path, sizes, corner_lib)
+    return samples
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +135,7 @@ class TestBatchReroute:
     """``delay_distribution`` now runs on the vectorized corner kernel.
 
     The contract against the retired per-corner loop (kept as
-    ``_scalar_corner_samples``): identical samples within 1e-12
+    ``scalar_corner_samples``): identical samples within 1e-12
     relative.  In practice the agreement is *bit-exact* -- the array
     sampler reproduces the scalar loop's rng stream draw for draw and
     the kernel preserves its operation order -- but the documented
@@ -119,7 +147,7 @@ class TestBatchReroute:
     def test_matches_scalar_loop(self, lib, sized_path):
         path, sizes = sized_path
         dist = delay_distribution(path, sizes, lib, n_samples=120, seed=17)
-        scalar = _scalar_corner_samples(
+        scalar = scalar_corner_samples(
             path, sizes, lib, VariationSpec(), 120, 17
         )
         np.testing.assert_allclose(
@@ -134,7 +162,7 @@ class TestBatchReroute:
         dist = delay_distribution(
             path, sizes, lib, spec=spec, n_samples=80, seed=23
         )
-        scalar = _scalar_corner_samples(path, sizes, lib, spec, 80, 23)
+        scalar = scalar_corner_samples(path, sizes, lib, spec, 80, 23)
         np.testing.assert_allclose(
             dist.samples_ps, scalar, rtol=1e-12, atol=0.0
         )
@@ -144,7 +172,7 @@ class TestBatchReroute:
         # value must equal the one computed from the scalar samples.
         path, sizes = sized_path
         band = required_guard_band(path, sizes, lib, n_samples=120)
-        scalar = _scalar_corner_samples(
+        scalar = scalar_corner_samples(
             path, sizes, lib, VariationSpec(), 120, 42
         )
         nominal = delay_distribution(
