@@ -12,10 +12,11 @@ first normalised by the calibration kernel of the *same* run (a pure
 Python spin loop: ``test_kernel_calibration``); the normalised ratios
 are comparable across hosts.  A kernel regresses when its normalised
 time exceeds the baseline's by more than ``--threshold`` (default 30%,
-the CI gate).  Kernels present in the baseline but missing from the
-current run fail the comparison -- deleting a kernel must be an explicit
-baseline update (``--update`` rewrites the baseline from the current
-run).
+the CI gate).  A kernel on one side only fails the comparison: one
+present in the baseline but missing from the current run (deleting a
+kernel must be an explicit baseline update -- ``--update`` rewrites the
+baseline from the current run), and one in the run with no baseline
+entry (a new kernel lands with its baseline, or it is never gated).
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def compare(
             f"{ratio:>6.2f}x  {verdict}"
         )
     for name in sorted(set(current) - set(baseline)):
-        print(f"{name:<{width}}  {'NEW':>10}  {current[name]:>10.4f}  {'-':>7}  ok (new)")
+        print(f"{name:<{width}}  {'MISSING':>10}  {current[name]:>10.4f}  {'-':>7}  FAIL (no baseline)")
+        failures += 1
     return failures
 
 
@@ -113,7 +115,10 @@ def main(argv=None) -> int:
         baseline = json.load(handle)["kernels"]
     failures = compare(current, baseline, args.threshold)
     if failures:
-        print(f"\n{failures} kernel(s) regressed beyond {args.threshold:.0%}")
+        print(
+            f"\n{failures} kernel(s) regressed beyond {args.threshold:.0%} "
+            "or lack a baseline entry"
+        )
         return 1
     print(f"\nall kernels within {args.threshold:.0%} of baseline")
     return 0

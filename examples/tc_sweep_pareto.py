@@ -11,8 +11,9 @@ into those curves:
    bounds, first-pass extraction and eq. 4 fixed points are shared, and
    each point's incremental STA engine is seeded from the nearest
    already-solved neighbour -- with payloads byte-identical to cold runs;
-3. give it a ``store`` directory and every completed point is journaled
-   (JSONL); re-running with ``resume=True`` skips them;
+3. give it a ``store`` directory and every completed point's record is
+   filed in a content-addressed store; re-running with ``resume=True``
+   skips them;
 4. the summary table marks the delay/area/power Pareto frontier.
 
 Run:  python examples/tc_sweep_pareto.py

@@ -64,7 +64,7 @@ from repro.protocol.optimizer import WarmStart, optimize_circuit, optimize_path
 from repro.resilience.pool import RETRY_ONCE, PoolSupervisor, PoolUnavailable
 from repro.sizing.bounds import DelayBounds, delay_bounds, tmin_memo
 from repro.timing.critical_paths import ExtractedPath, critical_path
-from repro.timing.incremental import IncrementalSta
+from repro.timing.incremental import IncrementalSta, IncrementalStats
 from repro.timing.sta import StaResult
 
 
@@ -434,6 +434,18 @@ class Session:
                 ),
                 "counters": self.metrics.counters(),
             }
+
+    def engine_stats(self) -> Dict[str, int]:
+        """The cached engines' summed ``IncrementalSta.stats``, plus
+        their count under ``engines`` (the list is copied under the lock).
+        """
+        with self._lock:
+            engines = list(self._engines.values())
+        totals = {"engines": len(engines), **IncrementalStats().as_dict()}
+        for engine in engines:
+            for name, value in engine.stats.as_dict().items():
+                totals[name] += value
+        return totals
 
     # -- job plumbing --------------------------------------------------
 

@@ -1,33 +1,32 @@
-"""Content-addressed on-disk store of completed run records.
+"""The one on-disk store of completed run records.
 
-Records are filed under their :func:`~repro.serve.protocol.job_spec_key`
--- the SHA-256 of the canonical request content -- so a repeat
-submission of the same spec is served from disk without touching the
-queue, across daemon restarts.  Layout (two-level fan-out keeps any one
-directory small under millions of records)::
+The serve daemon, ``explore`` campaigns and ``pops mc --store`` all
+file records here, each under the :func:`spec_key` of its request --
+the key :func:`repro.serve.protocol.job_spec_key` gives the daemon --
+so a job's record has one path whichever of them computed it::
 
     <root>/
       ab/
         abcdef....json    # one lossless RunRecord envelope per key
 
-Writes are atomic (temp file + ``os.replace``), so the store's own
-writer can never leave a torn record.  Files can still arrive corrupt
-from outside the atomic path -- a torn copy into the directory, disk
-corruption, a truncating backup restore -- and those are **quarantined**
-on first contact: the unparsable file is renamed to ``<key>.json.corrupt``
-(counted in :meth:`ResultStore.stats`), the lookup reports a miss, and
-the next completion rewrites the key.  ``key in store`` answers through
-the same read path as :meth:`ResultStore.get`, so membership and
-retrieval can never disagree about a corrupt entry.
+Files at the root itself (a campaign's ``manifest.json``) are not
+records.  Writes are atomic (:func:`write_atomic`).  A file that
+arrives corrupt anyway -- a torn copy, disk corruption, a truncating
+restore -- is **quarantined** on first contact: it is renamed to
+``<key>.json.corrupt``, the lookup reports a miss, and the next
+completion rewrites the key.  ``key in store`` and
+:meth:`ResultStore.get` share that read path, so they never disagree.
 
-The store keeps no counters of its own: lookups, writes and quarantines
-count as ``store.hits`` / ``store.misses`` / ``store.writes`` /
-``store.quarantined`` on the registry it is given (the daemon passes
-its session's), and :meth:`ResultStore.stats` reads them back.
+Lookups, writes and quarantines count as ``store.hits`` /
+``store.misses`` / ``store.writes`` / ``store.quarantined`` on the
+registry the store is given (the daemon and campaigns pass their
+session's); :meth:`ResultStore.stats` reads them back.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
 import tempfile
@@ -38,6 +37,43 @@ from repro.resilience import faults
 
 #: Suffix quarantined (unparsable) record files are renamed to.
 CORRUPT_SUFFIX = ".corrupt"
+
+
+def spec_key(kind: str, spec: Dict[str, Any]) -> str:
+    """The content hash identifying one unit of work.
+
+    Canonical JSON (sorted keys, compact separators) of the kind plus
+    the serialized spec, SHA-256 hex: a pure function of the request
+    content, so equal specs share one key in every process.
+    """
+    canonical = json.dumps(
+        {"kind": kind, "spec": spec},
+        sort_keys=True,
+        separators=(",", ":"),
+        allow_nan=False,
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def write_atomic(path: str, payload: str) -> str:
+    """Replace ``path`` with ``payload`` in one step; return ``path``.
+
+    The text goes to a temp file in the same directory, which
+    ``os.replace`` then moves over ``path``: a reader (or a crash) sees
+    the old file or the new one, never a fragment.
+    """
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return path
 
 
 class ResultStore:
@@ -69,9 +105,8 @@ class ResultStore:
                 record = json.load(handle)
         except OSError:
             return None
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self._quarantine(path)
-            return None
+        except ValueError:  # JSONDecodeError / UnicodeDecodeError
+            record = None
         if not isinstance(record, dict):
             self._quarantine(path)
             return None
@@ -92,28 +127,14 @@ class ResultStore:
         return record
 
     def put(self, key: str, record: Dict[str, Any]) -> str:
-        """Atomically file a completed record under its key."""
-        path = self.path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
+        """Atomically file a completed record under its key; return its path."""
         payload = json.dumps(record, sort_keys=True) + "\n"
         if faults.fire(faults.SITE_TORN_WRITE) is not None:
             # Injected torn write: land half the bytes at the final path
             # (simulating a non-atomic writer / interrupted copy) so the
             # quarantine path is exercised by real on-disk state.
             payload = payload[: max(1, len(payload) // 2)]
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        path = write_atomic(self.path_for(key), payload)
         self.metrics.inc("store.writes")
         return path
 
@@ -121,19 +142,26 @@ class ResultStore:
         """Whether :meth:`get` would hit (corrupt files answer False)."""
         return self._read(key) is not None
 
+    def _count(self, suffix: str) -> int:
+        """Files ending in ``suffix`` below the root (a walk).
+
+        Only the fan-out directories hold records: files at the root
+        itself, such as a campaign's manifest, are not counted.
+        """
+        return sum(
+            name.endswith(suffix)
+            for directory, _, names in os.walk(self.root)
+            if directory != self.root
+            for name in names
+        )
+
     def count(self) -> int:
         """Number of records on disk (a walk; observability only)."""
-        total = 0
-        for _, _, files in os.walk(self.root):
-            total += sum(1 for name in files if name.endswith(".json"))
-        return total
+        return self._count(".json")
 
     def corrupt_count(self) -> int:
         """Quarantined files currently on disk (a walk)."""
-        total = 0
-        for _, _, files in os.walk(self.root):
-            total += sum(1 for name in files if name.endswith(CORRUPT_SUFFIX))
-        return total
+        return self._count(CORRUPT_SUFFIX)
 
     def stats(self) -> Dict[str, Any]:
         """JSON-native counters for the status endpoint."""

@@ -424,17 +424,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
+    from repro.api.store import ResultStore, spec_key
+
     session = _session(args)
-    records = [session.mc(_job("mc", args, name)) for name in args.benchmarks]
+    jobs = [_job("mc", args, name) for name in args.benchmarks]
+    records = [session.mc(job) for job in jobs]
     _export_trace(args, session)
 
+    paths = []
     if args.store is not None:
-        os.makedirs(args.store, exist_ok=True)
-        for record in records:
-            path = os.path.join(args.store, f"{record.job.benchmark}.mc.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(record.to_json(indent=2))
-                handle.write("\n")
+        store = ResultStore(args.store, session.metrics)
+        paths = [
+            store.put(spec_key("mc", job.to_dict()), record.to_dict())
+            for job, record in zip(jobs, records)
+        ]
 
     if getattr(args, "json", False):
         if len(records) == 1:
@@ -504,8 +507,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
                 title=f"Worst endpoints ({result.name})",
             )
         )
-    if args.store is not None:
-        print(f"\nrecords     : {args.store}/<benchmark>.mc.json")
+    for path in paths:
+        print(f"record      : {path}")
     return 0
 
 
@@ -873,12 +876,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--label", default=None, help="campaign tag prefixed onto point labels"
     )
     p_sweep.add_argument(
-        "--store", default=None, help="campaign directory (JSONL journal)"
+        "--store", default=None,
+        help="campaign directory (manifest plus content-addressed records)",
     )
     p_sweep.add_argument(
         "--resume",
         action="store_true",
-        help="skip points already journaled in --store",
+        help="skip points already stored in --store",
     )
     p_sweep.add_argument(
         "--workers", type=int, default=None, help="process-pool fan-out"
@@ -937,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument(
         "--store",
         default=None,
-        help="directory for per-benchmark record JSON files",
+        help="content-addressed record store directory (one record per job)",
     )
     p_mc.add_argument(
         "--trace",

@@ -13,8 +13,10 @@ turns one :class:`~repro.api.session.Session` into those curves::
 
 Sweep points over one benchmark are warm-started (incremental STA
 engines copied from the session's, shared bounds/extraction memos) yet
-produce payloads byte-identical to cold runs; campaigns journal every
-completed point to disk and resume by skipping them.
+produce payloads byte-identical to cold runs; campaigns file every
+completed point's record in a content-addressed store
+(:mod:`repro.api.store`) under a spec-pinning manifest and resume by
+skipping them.
 """
 
 from repro.explore.runner import SweepResult, run_sweep

@@ -22,8 +22,9 @@ payload byte (the determinism tests compare warm against cold runs):
   serially, with byte-identical payloads either way.
 
 With a :class:`~repro.explore.store.CampaignStore`, every completed
-point is journaled immediately and ``resume=True`` serves journaled
-points from disk instead of recomputing them.
+point's record is filed in the campaign's record store immediately, and
+``resume=True`` serves stored points from disk instead of recomputing
+them.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class SweepResult:
     ----------
     spec / records:
         The grid and its per-point run records, in grid order
-        (resumed points carry their original journaled records).
+        (resumed points carry their original stored records).
     summary:
         Scalar metrics + Pareto frontier over all points.
     computed / resumed:
@@ -186,11 +187,11 @@ def _parallel_chunks(
     """Fan warm chunks out to ``pool``, streaming completions.
 
     ``on_chunk(chunk_index, records)`` fires as each chunk finishes --
-    that call is the journaling commit point, so completed points hit
+    that call is the store's commit point, so completed points hit
     the campaign store without waiting for slower chunks.  A chunk that
     failed partway still delivers its completed prefix.  The job error
     of the lowest failed chunk index is *returned* once every chunk has
-    been drained (and journaled): the serial loop would have raised that
+    been drained (and stored): the serial loop would have raised that
     one, and returning it keeps a job's own ``OSError`` apart from the
     pool breakage that propagates from here to the supervisor.
     """
@@ -285,10 +286,11 @@ def run_sweep(
     ----------
     store:
         Campaign directory (or an opened store).  Every completed point
-        is journaled immediately; without ``resume`` the journal must be
-        empty (mixing two runs un-resumed would double-journal points).
+        is stored immediately; without ``resume`` none of the grid's
+        points may be stored yet (a second un-resumed run would silently
+        overwrite the first).
     resume:
-        Serve already-journaled points from the store instead of
+        Serve already-stored points from the store instead of
         recomputing them.
     workers / chunk_size:
         Scale-out knobs: chunks (benchmark groups, optionally split to
@@ -309,23 +311,17 @@ def run_sweep(
     sw = Stopwatch()
     jobs = spec.jobs()
     if isinstance(store, (str, bytes)):
-        store = CampaignStore(str(store))
+        store = CampaignStore(str(store), session.metrics)
     done_records: Dict[str, RunRecord] = {}
     if store is not None:
-        store.initialize(spec)
-        completed = store.completed_labels()
-        if completed and not resume:
+        store.initialize(spec, session.library)
+        done_records = store.completed(jobs, library=session.library)
+        if done_records and not resume:
             raise CampaignError(
-                f"{store.root}: campaign already holds {len(completed)} "
+                f"{store.root}: campaign already holds {len(done_records)} "
                 "completed point(s); pass resume=True (or --resume) to "
                 "continue it, or use a fresh directory"
             )
-        if resume:
-            journaled = store.load_records(library=session.library)
-            wanted = {job.label for job in jobs}
-            done_records = {
-                label: rec for label, rec in journaled.items() if label in wanted
-            }
 
     pending = [job for job in jobs if job.label not in done_records]
     total = len(jobs)
@@ -333,7 +329,7 @@ def run_sweep(
 
     def after_point(job: Job, record: RunRecord) -> None:
         if store is not None:
-            store.append(job.label or job.name, record)
+            store.append(job, record)
         reported["n"] += 1
         if progress is not None:
             progress(reported["n"], total, job.label or job.name)
@@ -345,7 +341,7 @@ def run_sweep(
 
     def on_pool(pool: Any) -> Optional[BaseException]:
         # Called again on a fresh pool after a crash: delivered chunks
-        # are journaled already, so only the remainder re-runs.
+        # are stored already, so only the remainder re-runs.
         todo = _chunks(remaining(), chunk_size)
 
         def on_chunk(index: int, records: List[RunRecord]) -> None:
@@ -366,7 +362,7 @@ def run_sweep(
             pass  # the serial loop below finishes the remainder
         else:
             if error is not None:
-                # Completed points are journaled; resume picks up here.
+                # Completed points are stored; resume picks up here.
                 raise error
     for chunk in _chunks(remaining(), chunk_size):
         for record in _run_chunk(session, chunk, after_point=after_point):

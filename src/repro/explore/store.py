@@ -1,154 +1,130 @@
-"""Resumable on-disk campaign store: a manifest plus a record journal.
+"""Resumable campaigns: a spec-pinning manifest over the record store.
 
 Layout (one directory per campaign)::
 
     <root>/
-      manifest.json    # {"format": 1, "spec": SweepSpec.to_dict()}
-      records.jsonl    # one line per completed grid point
+      manifest.json        # {"format": 2, "spec": SweepSpec.to_dict(),
+                           #  "library": SHA-256 of the fingerprint}
+      ab/abcdef....json    # one lossless RunRecord per completed point
 
-Each ``records.jsonl`` line is a self-contained JSON object::
-
-    {"label": "<point label>", "record": RunRecord.to_dict()}
-
-with the full lossless run-record envelope (timing metadata included).
-Appending a line is the commit point of a grid point; the journal is
-append-only and never rewritten.  A killed *serial* campaign therefore
-loses at most the point it was computing; a *parallel* campaign
-journals as each worker chunk is delivered to the parent, so a kill
-additionally loses the not-yet-delivered points of in-flight chunks
-(bound by ``chunk_size``).  On resume, well-formed lines name the completed
-points (their labels are the :meth:`repro.api.job.SweepSpec.point_label`
-identities) and are served back from disk; a torn final line from a
-crash mid-write simply does not parse and its point is re-run.  The
-manifest pins the spec: re-opening a store with a different grid is an
-error, not a silent mix of two campaigns.
+Each point is a :class:`~repro.api.store.ResultStore` record filed under
+``spec_key("optimize", job.to_dict())``, the key the serve daemon files
+the same optimize submit under.  The atomic write is the point's
+commit: a killed *serial* campaign loses at most the point it was
+computing, a *parallel* one also the undelivered points of in-flight
+chunks (bound by ``chunk_size``).  Resume looks up each grid point's
+key; a corrupt record is quarantined by that lookup and its point
+re-run.  The manifest pins the spec and the library (job keys do not
+name it): reopening a campaign with either changed is an error, not a
+silent mix of two campaigns.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence
 
-from repro.api.job import SweepSpec
+from repro.api.job import Job, SweepSpec
 from repro.api.records import RunRecord
+from repro.api.store import ResultStore, spec_key, write_atomic
 from repro.cells.library import Library
+from repro.obs.metrics import MetricsRegistry
 
 #: On-disk format version written to (and checked in) the manifest.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
-RECORDS_NAME = "records.jsonl"
 
 
 class CampaignError(RuntimeError):
     """A campaign directory that cannot be (re)used as requested."""
 
 
+def _library_digest(library: Library) -> str:
+    """SHA-256 of the library's fingerprint ``repr``.
+
+    The fingerprint is a tuple of strings and floats, so its ``repr``
+    (and this digest) is the same in every process.
+    """
+    return hashlib.sha256(repr(library.fingerprint()).encode("utf-8")).hexdigest()
+
+
 class CampaignStore:
-    """Append-only journal of one sweep campaign's run records."""
+    """One sweep campaign on disk: its manifest and its point records."""
 
-    def __init__(self, root: str) -> None:
+    def __init__(self, root: str, metrics: MetricsRegistry) -> None:
         self.root = str(root)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CampaignStore({self.root!r})"
+        self.records = ResultStore(self.root, metrics)
 
     @property
     def manifest_path(self) -> str:
         """Path of the spec-pinning manifest."""
         return os.path.join(self.root, MANIFEST_NAME)
 
-    @property
-    def records_path(self) -> str:
-        """Path of the append-only record journal."""
-        return os.path.join(self.root, RECORDS_NAME)
-
-    # -- lifecycle -----------------------------------------------------
-
-    def initialize(self, spec: SweepSpec) -> None:
-        """Create the campaign directory or verify it matches ``spec``.
-
-        A fresh directory gets a manifest; an existing one must carry a
-        manifest whose spec is identical (label included) -- resuming a
-        *different* grid into the same journal would silently interleave
-        two campaigns.
-        """
-        os.makedirs(self.root, exist_ok=True)
-        if os.path.exists(self.manifest_path):
+    def _manifest(self) -> Dict[str, Any]:
+        """The parsed manifest; a torn or foreign one is a CampaignError."""
+        try:
             with open(self.manifest_path, encoding="utf-8") as handle:
                 manifest = json.load(handle)
-            if manifest.get("format") != FORMAT_VERSION:
-                raise CampaignError(
-                    f"{self.manifest_path}: unsupported campaign format "
-                    f"{manifest.get('format')!r}"
-                )
-            if manifest.get("spec") != spec.to_dict():
-                raise CampaignError(
-                    f"{self.root}: campaign was created for a different sweep "
-                    "spec; use a fresh directory (or the original spec)"
-                )
-            return
-        with open(self.manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"format": FORMAT_VERSION, "spec": spec.to_dict()},
-                handle,
-                indent=2,
-                sort_keys=True,
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CampaignError(
+                f"{self.manifest_path}: unreadable campaign manifest ({exc})"
+            ) from exc
+        found = manifest.get("format") if isinstance(manifest, dict) else None
+        if found != FORMAT_VERSION:
+            raise CampaignError(
+                f"{self.manifest_path}: unsupported campaign format {found!r}"
             )
-            handle.write("\n")
+        return manifest
+
+    def initialize(self, spec: SweepSpec, library: Library) -> None:
+        """Create the campaign or verify it matches ``spec`` and ``library``.
+
+        A fresh directory gets a manifest; an existing one must carry a
+        manifest whose spec is identical (label included) and whose
+        library digest matches -- resuming a *different* grid or model
+        into the same records would silently mix two campaigns.
+        """
+        manifest = {
+            "format": FORMAT_VERSION,
+            "spec": spec.to_dict(),
+            "library": _library_digest(library),
+        }
+        if not os.path.exists(self.manifest_path):
+            write_atomic(
+                self.manifest_path,
+                json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+            )
+            return
+        found = self._manifest()
+        if found.get("spec") != manifest["spec"]:
+            raise CampaignError(
+                f"{self.root}: campaign was created for a different sweep "
+                "spec; use a fresh directory (or the original spec)"
+            )
+        if found.get("library") != manifest["library"]:
+            raise CampaignError(
+                f"{self.root}: campaign was created under a different "
+                "library; use a fresh directory (or the original library)"
+            )
 
     def spec(self) -> SweepSpec:
         """The spec this campaign was created for."""
-        with open(self.manifest_path, encoding="utf-8") as handle:
-            return SweepSpec.from_dict(json.load(handle)["spec"])
+        return SweepSpec.from_dict(self._manifest()["spec"])
 
-    # -- journal -------------------------------------------------------
+    def append(self, job: Job, record: RunRecord) -> None:
+        """File one completed grid point's record (the point's commit)."""
+        self.records.put(spec_key("optimize", job.to_dict()), record.to_dict())
 
-    def _lines(self) -> Iterator[Tuple[str, dict]]:
-        """Well-formed ``(label, record dict)`` journal entries.
-
-        Malformed lines (a torn write from a crash) are skipped: their
-        points read as not-yet-completed and are simply re-run.
-        """
-        if not os.path.exists(self.records_path):
-            return
-        with open(self.records_path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if not isinstance(entry, dict) or "label" not in entry:
-                    continue
-                yield str(entry["label"]), entry.get("record") or {}
-
-    def completed_labels(self) -> Dict[str, int]:
-        """``label -> journal position`` of every completed point."""
-        return {label: i for i, (label, _) in enumerate(self._lines())}
-
-    def append(self, label: str, record: RunRecord) -> None:
-        """Journal one completed grid point (the point's commit)."""
-        line = json.dumps(
-            {"label": label, "record": record.to_dict()}, sort_keys=True
-        )
-        with open(self.records_path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-
-    def load_records(
-        self, library: Optional[Library] = None
+    def completed(
+        self, jobs: Sequence[Job], library: Optional[Library] = None
     ) -> Dict[str, RunRecord]:
-        """Rebuild every journaled record, keyed by point label.
-
-        Duplicate labels keep the *first* journaled record, matching the
-        resume semantics (a completed point is never re-run, so a later
-        duplicate can only come from tampering).
-        """
+        """The stored record of every job in ``jobs`` that has one, by label."""
         out: Dict[str, RunRecord] = {}
-        for label, data in self._lines():
-            if label not in out:
-                out[label] = RunRecord.from_dict(data, library=library)
+        for job in jobs:
+            data = self.records.get(spec_key("optimize", job.to_dict()))
+            if data is not None:
+                out[job.name] = RunRecord.from_dict(data, library=library)
         return out

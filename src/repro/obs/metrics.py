@@ -185,22 +185,7 @@ def session_metrics(session: Any) -> Dict[str, Any]:
         }
     """
     cache_stats = session.cache_stats()
-    sta: Dict[str, Any] = {
-        "engines": 0,
-        "full_builds": 0,
-        "updates": 0,
-        "structure_refreshes": 0,
-        "gates_reevaluated": 0,
-        "cone_truncations": 0,
-    }
-    for engine in list(session._engines.values()):
-        stats = engine.stats
-        sta["engines"] += 1
-        sta["full_builds"] += stats.full_builds
-        sta["updates"] += stats.updates
-        sta["structure_refreshes"] += stats.structure_refreshes
-        sta["gates_reevaluated"] += stats.gates_reevaluated
-        sta["cone_truncations"] += stats.cone_truncations
+    sta: Dict[str, Any] = session.engine_stats()
     sta["mean_cone_gates"] = (
         sta["gates_reevaluated"] / sta["updates"] if sta["updates"] else None
     )

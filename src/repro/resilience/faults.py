@@ -20,8 +20,10 @@ Sites wired into the stack:
                            dispatch (deadline/timeout tests)
 :data:`SITE_STREAM_DROP`   :class:`~repro.serve.client.ServeClient` tears its
                            socket down mid event stream
-:data:`SITE_TORN_WRITE`    :class:`~repro.serve.store.ResultStore.put` files a
-                           truncated record (quarantine tests)
+:data:`SITE_TORN_WRITE`    :meth:`~repro.api.store.ResultStore.put` files a
+                           truncated record -- a served job's, a campaign
+                           point's or a ``pops mc --store`` one
+                           (quarantine tests)
 ========================  ====================================================
 
 Plans install three ways: :func:`install` / :func:`uninstall` (or the

@@ -16,9 +16,9 @@ clients:
 * identical in-flight submissions **coalesce** on the job-spec hash --
   N concurrent clients asking for the same spec pay for one execution
   and all receive the same :class:`~repro.api.records.RunRecord`;
-* completed records land in a content-addressed on-disk store
-  (:mod:`repro.serve.store`), so repeat submissions are served from
-  disk across daemon restarts;
+* completed records land in the content-addressed on-disk store that
+  campaigns also write (:mod:`repro.api.store`), so repeat submissions
+  are served from disk across daemon restarts;
 * every lifecycle step streams back as a progress event, and shutdown
   drains the queue before the daemon exits;
 * failures are supervised (:mod:`repro.resilience`): per-job deadlines,
@@ -40,7 +40,6 @@ from repro.serve.protocol import (
 from repro.serve.queue import JobTicket, PriorityJobQueue
 from repro.serve.scheduler import JobExecutor
 from repro.serve.server import PopsServer, ServeConfig, start_server_thread
-from repro.serve.store import ResultStore
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -53,7 +52,6 @@ __all__ = [
     "PopsServer",
     "ServeConfig",
     "start_server_thread",
-    "ResultStore",
     "ServeClient",
     "ServeClientError",
 ]

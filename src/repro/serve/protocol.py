@@ -49,9 +49,10 @@ even though the ``Job`` objects compare by identity in-process.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict, Tuple
+
+from repro.api.store import spec_key
 
 #: Bumped when the wire format changes incompatibly.
 PROTOCOL_VERSION = 1
@@ -77,19 +78,13 @@ class ProtocolError(ValueError):
 def job_spec_key(kind: str, spec: Dict[str, Any]) -> str:
     """The content hash identifying one unit of work.
 
-    Canonical JSON (sorted keys, compact separators) of the kind plus
-    the serialized spec, SHA-256 hex.  Pure function of the request
-    content: the coalescing table and the result store share it.
+    :func:`repro.api.store.spec_key` of a submittable kind: a pure
+    function of the request content, shared by the coalescing table and
+    the result store.
     """
     if kind not in SUBMIT_KINDS:
         raise ProtocolError(f"kind must be one of {SUBMIT_KINDS}, got {kind!r}")
-    canonical = json.dumps(
-        {"kind": kind, "spec": spec},
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return spec_key(kind, spec)
 
 
 def encode_line(message: Dict[str, Any]) -> bytes:

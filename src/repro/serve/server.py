@@ -10,7 +10,7 @@ TCP loopback optionally), speaks the NDJSON protocol of
   worker tasks that dispatch into the
   :class:`~repro.serve.scheduler.JobExecutor` pools;
 * the in-flight coalescing table (``spec key -> ticket``) and the
-  optional content-addressed :class:`~repro.serve.store.ResultStore`.
+  optional content-addressed :class:`~repro.api.store.ResultStore`.
 
 The daemon keeps no counters of its own: the executor, the store and
 the server all count on the session's registry (``Session.metrics``),
@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import __version__
 from repro.api.session import Session
+from repro.api.store import ResultStore
 from repro.obs.metrics import CounterView, serve_metrics
 from repro.obs.trace import Stopwatch
 from repro.resilience import CircuitBreaker, JobTimeoutError, RetryPolicy
@@ -53,7 +54,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.queue import JobTicket, PriorityJobQueue
 from repro.serve.scheduler import JobExecutor
-from repro.serve.store import ResultStore
 
 #: The daemon's structured logger.  The package installs a NullHandler
 #: on the root ``repro`` logger, so nothing is emitted unless the

@@ -160,12 +160,20 @@ class TestMcCommand:
         assert all(r.kind == "mc" for r in records)
 
     def test_mc_store_writes_lossless_records(self, capsys, tmp_path):
-        from repro.api import RunRecord
+        from repro.api import Job, RunRecord
+        from repro.api.store import ResultStore
+        from repro.obs import MetricsRegistry
+        from repro.serve import job_spec_key
 
         store = str(tmp_path / "mc")
         assert main(["mc", "fpd", "--samples", "40", "--store", store]) == 0
-        capsys.readouterr()
-        with open(f"{store}/fpd.mc.json", encoding="utf-8") as handle:
+        # Filed under the key the daemon gives the same mc submit.
+        job = Job(benchmark="fpd", mc_samples=40, mc_seed=42)
+        path = ResultStore(store, MetricsRegistry()).path_for(
+            job_spec_key("mc", job.to_dict())
+        )
+        assert f"record      : {path}" in capsys.readouterr().out
+        with open(path, encoding="utf-8") as handle:
             stored = RunRecord.from_json(handle.read())
         assert stored.kind == "mc"
         # Same invocation again: the record content is reproducible.

@@ -14,8 +14,18 @@ from concurrent.futures import Future
 import pytest
 
 from repro.analysis.pareto import dominates, pareto_indices
-from repro.api import JobError, Session, SweepSpec
+from repro.api import JobError, RunRecord, Session, SweepSpec
+from repro.api.store import CORRUPT_SUFFIX, ResultStore
+from repro.cells.library import default_library
+from repro.cli import main
 from repro.explore import CampaignError, CampaignStore, run_sweep
+from repro.obs import MetricsRegistry
+from repro.resilience import FaultPlan, FaultSpec, faults
+from repro.serve import job_spec_key
+
+SAMPLE_LIB = os.path.join(
+    os.path.dirname(__file__), "..", "examples", "sample_nldm.lib"
+)
 
 #: A small, fast grid (fpd is the 60-gate paper example; two passes are
 #: plenty to exercise the warm-start machinery).
@@ -240,13 +250,27 @@ class TestYieldObjective:
         assert not dominates((1.0, 1.0, 1.0, None), (1.0, 1.0, 1.0, -0.9))
 
 
+def _point_path(root, job):
+    """Where a campaign files a grid point's record: the daemon's key."""
+    store = ResultStore(root, MetricsRegistry())
+    return store.path_for(job_spec_key("optimize", job.to_dict()))
+
+
+def _tear(path):
+    """Cut a file in half mid-value, as a crash mid-write would."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text[: len(text) // 2])
+
+
 class TestCampaignStore:
     def test_journal_and_resume_skip_completed(self, tmp_path):
         root = str(tmp_path / "camp")
         session = Session()
         first = run_sweep(session, SPEC, store=root)
         assert first.computed == SPEC.point_count
-        # Re-running with resume computes nothing and serves the journal.
+        # Re-running with resume computes nothing and serves the store.
         again = run_sweep(session, SPEC, store=root, resume=True)
         assert again.computed == 0
         assert again.resumed == SPEC.point_count
@@ -257,18 +281,61 @@ class TestCampaignStore:
         root = str(tmp_path / "camp")
         session = Session()
         first = run_sweep(session, SPEC, store=root)
-        store = CampaignStore(root)
-        with open(store.records_path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-        # Simulate a crash mid-append: the last line is torn.
-        with open(store.records_path, "w", encoding="utf-8") as handle:
-            handle.writelines(lines[:-1])
-            handle.write(lines[-1][: len(lines[-1]) // 2])
+        # Simulate a crash mid-write of the last point: its record is torn.
+        _tear(_point_path(root, SPEC.jobs()[-1]))
         resumed = run_sweep(session, SPEC, store=root, resume=True)
         assert resumed.computed == 1
         assert resumed.resumed == SPEC.point_count - 1
         for a, b in zip(first.records, resumed.records):
             assert payload_bytes(a) == payload_bytes(b)
+
+    def test_torn_record_recovers_in_one_resume(self, tmp_path):
+        root = str(tmp_path / "camp")
+        session = Session()
+        first = run_sweep(session, SPEC, store=root)
+        torn = SPEC.jobs()[1]
+        path = _point_path(root, torn)
+        _tear(path)
+        labels = []
+        resumed = run_sweep(
+            session, SPEC, store=root, resume=True,
+            progress=lambda done, total, label: labels.append(label),
+        )
+        # Exactly the torn point recomputes; its fragment is kept aside.
+        assert resumed.computed == 1
+        assert labels == [torn.label]
+        assert os.path.exists(path + CORRUPT_SUFFIX)
+        for a, b in zip(first.records, resumed.records):
+            assert payload_bytes(a) == payload_bytes(b)
+        again = run_sweep(session, SPEC, store=root, resume=True)
+        assert again.computed == 0
+        assert again.resumed == SPEC.point_count
+
+    def test_torn_write_fault_is_quarantined_and_recomputed(self, tmp_path):
+        root = str(tmp_path / "camp")
+        session = Session()
+        plan = FaultPlan([FaultSpec(faults.SITE_TORN_WRITE, times=1)])
+        with faults.installed(plan):
+            first = run_sweep(session, SPEC, store=root)
+        resumed = run_sweep(session, SPEC, store=root, resume=True)
+        assert resumed.computed == 1
+        assert resumed.resumed == SPEC.point_count - 1
+        assert os.path.exists(_point_path(root, SPEC.jobs()[0]) + CORRUPT_SUFFIX)
+        assert session.metrics.counters("store.")["store.quarantined"] == 1
+        for a, b in zip(first.records, resumed.records):
+            assert payload_bytes(a) == payload_bytes(b)
+
+    def test_points_are_filed_under_the_daemon_key(self, tmp_path):
+        root = str(tmp_path / "camp")
+        result = run_sweep(Session(), SPEC, store=root)
+        store = ResultStore(root, MetricsRegistry())
+        for job, record in zip(SPEC.jobs(), result.records):
+            stored = store.get(job_spec_key("optimize", job.to_dict()))
+            assert payload_bytes(RunRecord.from_dict(stored)) == payload_bytes(
+                record
+            )
+        # The manifest sits beside the records and is not one of them.
+        assert store.count() == SPEC.point_count
 
     def test_unresumed_reuse_is_refused(self, tmp_path):
         root = str(tmp_path / "camp")
@@ -278,12 +345,48 @@ class TestCampaignStore:
 
     def test_spec_mismatch_is_refused(self, tmp_path):
         root = str(tmp_path / "camp")
-        store = CampaignStore(root)
-        store.initialize(SPEC)
+        store = CampaignStore(root, MetricsRegistry())
+        store.initialize(SPEC, default_library())
         other = SweepSpec(benchmarks=("c432",), tc_ratio_points=(1.5,))
         with pytest.raises(CampaignError, match="different sweep"):
-            store.initialize(other)
+            store.initialize(other, default_library())
         assert store.spec() == SPEC
+
+    def test_library_change_is_refused(self, tmp_path, capsys):
+        root = str(tmp_path / "camp")
+        grid = ["sweep", "fpd", "--tc-ratios", "1.5", "--k-paths", "2",
+                "--max-passes", "1", "--no-power", "--quiet", "--store", root]
+        assert main(grid) == 0
+        capsys.readouterr()
+        # Job keys do not name the library: an NLDM resume must not be
+        # served the analytic records.
+        assert main(grid + ["--resume", "--liberty", SAMPLE_LIB]) == 2
+        assert "different library" in capsys.readouterr().err
+        spec = CampaignStore(root, MetricsRegistry()).spec()
+        nldm = Session(backend="nldm", liberty=SAMPLE_LIB)
+        with pytest.raises(CampaignError, match="different library"):
+            run_sweep(nldm, spec, store=root, resume=True)
+
+    def test_torn_manifest_is_a_campaign_error(self, tmp_path, capsys):
+        root = str(tmp_path / "camp")
+        store = CampaignStore(root, MetricsRegistry())
+        store.initialize(SPEC, default_library())
+        _tear(store.manifest_path)
+        with pytest.raises(CampaignError, match="manifest.json"):
+            run_sweep(Session(), SPEC, store=root, resume=True)
+        assert main(["sweep", "fpd", "--tc-ratios", "1.2,1.5,1.8",
+                     "--k-paths", "2", "--max-passes", "2", "--quiet",
+                     "--store", root, "--resume"]) == 2
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_format_1_campaign_is_refused(self, tmp_path):
+        root = tmp_path / "camp"
+        root.mkdir()
+        (root / "manifest.json").write_text(
+            json.dumps({"format": 1, "spec": SPEC.to_dict()}), encoding="utf-8"
+        )
+        with pytest.raises(CampaignError, match="format 1"):
+            run_sweep(Session(), SPEC, store=str(root), resume=True)
 
     def test_points_before_a_failing_job_stay_journaled(self, tmp_path):
         """A mid-campaign crash loses at most the in-flight point."""
@@ -297,22 +400,25 @@ class TestCampaignStore:
         with pytest.raises(KeyError):
             run_sweep(Session(), bad, store=root)
         # The fpd chunk completed before the failure: all three of its
-        # points are in the journal and a resume serves them from disk.
-        completed = CampaignStore(root).completed_labels()
+        # points are stored and a resume serves them from disk.
+        store = CampaignStore(root, MetricsRegistry())
+        completed = store.completed(bad.jobs())
         assert {label.split("/")[0] for label in completed} == {"fpd"}
         assert len(completed) == 3
+        session = Session()
         with pytest.raises(KeyError):
-            run_sweep(Session(), bad, store=root, resume=True)
+            run_sweep(session, bad, store=root, resume=True)
         # The resumed attempt recomputed nothing for fpd.
-        assert len(CampaignStore(root).completed_labels()) == 3
+        assert len(store.completed(bad.jobs())) == 3
+        assert session.metrics.counters("store.").get("store.writes", 0) == 0
 
     def test_manifest_written_once(self, tmp_path):
         root = str(tmp_path / "camp")
-        store = CampaignStore(root)
-        store.initialize(SPEC)
+        store = CampaignStore(root, MetricsRegistry())
+        store.initialize(SPEC, default_library())
         assert os.path.exists(store.manifest_path)
-        store.initialize(SPEC)  # idempotent
-        assert store.completed_labels() == {}
+        store.initialize(SPEC, default_library())  # idempotent
+        assert store.completed(SPEC.jobs()) == {}
 
 
 class _ReadSignalFuture(Future):

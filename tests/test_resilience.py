@@ -27,6 +27,7 @@ import pytest
 
 from repro.api import Job, RunRecord, Session, SweepSpec
 from repro.api.job import JobError
+from repro.api.store import ResultStore
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (
     CircuitBreaker,
@@ -41,7 +42,6 @@ from repro.resilience import (
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.serve import (
     PopsServer,
-    ResultStore,
     ServeClient,
     ServeClientError,
     ServeConfig,

@@ -22,11 +22,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import BoundedCache, Job, RunRecord, Session, SweepSpec
+from repro.api.store import ResultStore
 from repro.obs import MetricsRegistry
 from repro.serve import (
     PopsServer,
     ProtocolError,
-    ResultStore,
     ServeClient,
     ServeClientError,
     ServeConfig,
