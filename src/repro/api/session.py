@@ -61,6 +61,7 @@ from repro.obs.metrics import CounterView, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Stopwatch, Tracer
 from repro.process.technology import Technology
 from repro.protocol.optimizer import WarmStart, optimize_circuit, optimize_path
+from repro.resilience.policy import checkpoint
 from repro.resilience.pool import RETRY_ONCE, PoolSupervisor, PoolUnavailable
 from repro.sizing.bounds import DelayBounds, delay_bounds, tmin_memo
 from repro.timing.critical_paths import ExtractedPath, critical_path
@@ -523,6 +524,7 @@ class Session:
             job = self._prepare_job(job)
             circuit = self.resolve_circuit(job)
             extracted = self.critical_path(circuit)
+            checkpoint()
             bounds = self.path_bounds(circuit)
             return RunRecord(
                 kind=KIND_BOUNDS,
@@ -623,6 +625,7 @@ class Session:
             job = self._prepare_job(job)
             circuit = self.resolve_circuit(job)
             activity = estimate_activity(circuit, n_vectors=job.activity_vectors)
+            checkpoint()
             report = estimate_power(
                 circuit,
                 self._library,
@@ -667,6 +670,7 @@ class Session:
             tc_ps: Optional[float] = job.tc_ps
             if tc_ps is None and job.tc_ratio is not None:
                 tc_ps = self.resolve_tc(job, self.path_bounds(circuit).tmin_ps)
+            checkpoint()
             # Hold the compiled-circuit key for the whole batch analysis:
             # the compilation is shared per structure and ``bind``
             # rewrites its sizing arrays, so a concurrent mc over another

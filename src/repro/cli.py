@@ -435,8 +435,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     if args.store is not None:
         store = ResultStore(args.store, session.metrics)
         paths = [
-            store.put(spec_key("mc", job.to_dict()), record.to_dict())
-            for job, record in zip(jobs, records)
+            store.put(spec_key("mc", record.job.to_dict()), record.to_dict())
+            for record in records
         ]
 
     if getattr(args, "json", False):
@@ -1126,7 +1126,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_client_args(p_shutdown)
     p_shutdown.add_argument(
         "--now", action="store_true",
-        help="fail the queued backlog instead of draining it",
+        help="stop running jobs at their next checkpoint and fail the "
+        "queued backlog instead of draining it",
     )
     p_shutdown.add_argument("--json", action="store_true",
                             help="machine-readable ack")

@@ -43,6 +43,7 @@ from repro.api.session import (
     worker_session,
 )
 from repro.resilience import faults
+from repro.resilience.policy import checkpoint, current_token
 from repro.resilience.pool import RETRY_ONCE, PoolSupervisor, PoolUnavailable
 from repro.cells.library import Library
 from repro.explore.store import CampaignError, CampaignStore
@@ -141,6 +142,7 @@ def _run_chunk(
     warm = WarmStart()
     records = []
     for job in jobs:
+        checkpoint()
         with session.tracer.span(
             "sweep.point", label=job.label or job.name
         ) as point_span:
@@ -193,10 +195,9 @@ def _parallel_chunks(
     of the lowest failed chunk index is *returned* once every chunk has
     been drained (and stored): the serial loop would have raised that
     one, and returning it keeps a job's own ``OSError`` apart from the
-    pool breakage that propagates from here to the supervisor.
+    pool breakage that propagates from here to the supervisor.  A
+    stopped job raises here at once; delivered chunks stay stored.
     """
-    from concurrent.futures import as_completed
-
     limits = session.flimits()
     errors: Dict[int, BaseException] = {}
     futures = {
@@ -211,16 +212,19 @@ def _parallel_chunks(
         ): index
         for index, chunk in enumerate(chunks)
     }
-    for future in as_completed(futures):
-        outcome = future.result()  # pool breakage raises here
-        records: List[RunRecord] = []
-        for entry in outcome:
-            if JOB_ERROR_KEY in entry:
-                errors[futures[future]] = entry[JOB_ERROR_KEY]
-                break
-            records.append(RunRecord.from_dict(entry, library=session.library))
-        on_chunk(futures[future], records)
-        session.metrics.inc("jobs_run", len(records))
+    pending = set(futures)
+    while pending:
+        for future in current_token().wait(pending):
+            pending.discard(future)
+            outcome = future.result()  # pool breakage raises here
+            records: List[RunRecord] = []
+            for entry in outcome:
+                if JOB_ERROR_KEY in entry:
+                    errors[futures[future]] = entry[JOB_ERROR_KEY]
+                    break
+                records.append(RunRecord.from_dict(entry, library=session.library))
+            on_chunk(futures[future], records)
+            session.metrics.inc("jobs_run", len(records))
     return errors[min(errors)] if errors else None
 
 
@@ -309,7 +313,8 @@ def run_sweep(
         Optional ``(done, total, label)`` callback per completed point.
     """
     sw = Stopwatch()
-    jobs = spec.jobs()
+    # Stamped points: a non-analytic point's key names its backend, .lib.
+    jobs = [session._prepare_job(job) for job in spec.jobs()]
     if isinstance(store, (str, bytes)):
         store = CampaignStore(str(store), session.metrics)
     done_records: Dict[str, RunRecord] = {}

@@ -14,9 +14,9 @@ commit: a killed *serial* campaign loses at most the point it was
 computing, a *parallel* one also the undelivered points of in-flight
 chunks (bound by ``chunk_size``).  Resume looks up each grid point's
 key; a corrupt record is quarantined by that lookup and its point
-re-run.  The manifest pins the spec and the library (job keys do not
-name it): reopening a campaign with either changed is an error, not a
-silent mix of two campaigns.
+re-run.  The manifest pins the spec and the library (an analytic job's
+key does not name it): reopening a campaign with either changed is an
+error, not a silent mix of two campaigns.
 """
 
 from __future__ import annotations

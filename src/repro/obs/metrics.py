@@ -214,7 +214,7 @@ def serve_metrics(server: Any) -> Dict[str, Any]:
     serve: Dict[str, Any] = server.stats.as_dict()
     submitted = serve["submitted"]
     serve["coalescing_ratio"] = serve["coalesced"] / submitted if submitted else None
-    serve["queue_depth"] = server.queue.depth
+    serve["queue_depth"] = server.depth
     serve["inflight"] = len(server._inflight)
     serve["pools"] = server.executor.stats()
     snap["serve"] = serve

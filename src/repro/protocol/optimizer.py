@@ -41,6 +41,7 @@ from repro.protocol.domains import (
     DomainClassification,
     classify_constraint,
 )
+from repro.resilience.policy import checkpoint
 from repro.restructuring.demorgan import (
     distribute_with_restructuring,
     restructurable_stages,
@@ -483,6 +484,7 @@ def optimize_circuit(
         for _ in range(max_passes):
             if best_delay <= tc_ps:
                 break
+            checkpoint()  # a stopped job raises between passes and paths
             passes += 1
             pass_started = time.perf_counter()
             pass_t = PassTelemetry(
@@ -503,6 +505,7 @@ def optimize_circuit(
                     if candidate.delay_ps <= tc_ps:
                         pass_t.skipped += 1
                         continue
+                    checkpoint()
                     pass_t.proposed += 1
                     with span_tracer.span(
                         "optimize.path", delay_ps=float(candidate.delay_ps)

@@ -6,8 +6,8 @@ runner and the explore sweep runner:
 * :class:`~repro.resilience.policy.RetryPolicy` -- bounded attempts,
   exponential backoff, deterministic seeded jitter; shared by pool
   supervision, client reconnects and ``wait_ready`` polling;
-* :class:`~repro.resilience.policy.JobTimeoutError` -- the structured
-  deadline failure (``Job.timeout_s`` / submit-level ``timeout_s``);
+* :class:`~repro.resilience.policy.CancelToken` -- each served job's stop
+  flag and deadline, which the job checks at its ``checkpoint()`` calls;
 * :class:`~repro.resilience.breaker.CircuitBreaker` -- trips the serve
   executor to in-thread execution after K consecutive process-pool
   failures and half-open-probes recovery;
@@ -25,14 +25,17 @@ failure taxonomy and the retry/breaker defaults.
 
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultPlan, FaultSpec, InlinePool
+from repro.resilience.policy import CancelToken, JobCancelledError
 from repro.resilience.policy import JobTimeoutError, RetryPolicy
 from repro.resilience.pool import PoolSupervisor, PoolUnavailable
 
 __all__ = [
+    "CancelToken",
     "CircuitBreaker",
     "FaultPlan",
     "FaultSpec",
     "InlinePool",
+    "JobCancelledError",
     "JobTimeoutError",
     "PoolSupervisor",
     "PoolUnavailable",

@@ -17,7 +17,7 @@ Sites wired into the stack:
 :data:`SITE_POOL_BROKEN`   :class:`InlinePool` (the in-process pool double)
                            raises ``BrokenProcessPool`` from ``submit``
 :data:`SITE_EXEC_SLOW`     the serve executor sleeps ``delay_s`` before
-                           dispatch (deadline/timeout tests)
+                           dispatch, a checkpoint (deadline/cancel tests)
 :data:`SITE_STREAM_DROP`   :class:`~repro.serve.client.ServeClient` tears its
                            socket down mid event stream
 :data:`SITE_TORN_WRITE`    :meth:`~repro.api.store.ResultStore.put` files a
@@ -41,10 +41,11 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence
+
+from repro.resilience.policy import current_token
 
 #: Environment variable naming a saved plan file (daemon / worker hook).
 ENV_PLAN = "POPS_FAULT_PLAN"
@@ -274,10 +275,10 @@ def maybe_crash(site: str = SITE_WORKER_CRASH) -> None:
 
 
 def maybe_sleep(site: str = SITE_EXEC_SLOW) -> None:
-    """Sleep ``delay_s`` if the plan fires (slow-execution injection)."""
+    """Sleep ``delay_s`` if the plan fires; the job's token cuts it short."""
     spec = fire(site)
     if spec is not None and spec.delay_s > 0:
-        time.sleep(spec.delay_s)
+        current_token().wait(timeout_s=spec.delay_s)
 
 
 # -- a deterministic process-pool double ------------------------------

@@ -1,4 +1,4 @@
-"""Bounded retries with deterministic backoff, and per-job deadlines.
+"""Bounded retries with deterministic backoff, and per-job stop tokens.
 
 :class:`RetryPolicy` is the one retry shape every layer shares -- the
 serve executor's process-pool supervision, the client's
@@ -9,19 +9,22 @@ runners' pool retries.  Delays grow exponentially from ``base_s`` up to
 same delay sequence -- chaos tests assert on exact retry behaviour
 instead of sleeping and hoping.
 
-:class:`JobTimeoutError` is the structured deadline failure: the serve
-executor raises it when a job outlives its ``timeout_s``, and the
-server turns it into a ``timeout`` error event (the worker slot is
-freed; the abandoned computation cannot be interrupted mid-flight and
-is left to finish on a detached thread).
+:class:`CancelToken` is the one way to stop a served job: a stop flag
+plus a deadline armed when the job starts, carried in a context variable
+like the ``Tmin`` memo.  :func:`checkpoint` raises at the job's natural
+stop points (optimizer passes and paths, sweep points, Session job
+stages), never inside the eq. 4/6 sweeps or the STA kernels.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import FIRST_COMPLETED, Future, InvalidStateError, wait
+from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterator, Optional, Tuple, Type
+from typing import Callable, Iterable, Iterator, Optional, Set, Tuple, Type
 
 
 class JobTimeoutError(RuntimeError):
@@ -34,6 +37,72 @@ class JobTimeoutError(RuntimeError):
     def __init__(self, message: str, timeout_s: float) -> None:
         super().__init__(message)
         self.timeout_s = float(timeout_s)
+
+
+class JobCancelledError(RuntimeError):
+    """A job stopped by the ``cancel`` op or an immediate shutdown."""
+
+
+class CancelToken:
+    """One job's stop flag plus an optional deadline, armed when it starts."""
+
+    def __init__(self) -> None:
+        self.stopped = False
+        self.timeout_s: Optional[float] = None
+        self._deadline: Optional[float] = None
+        self._stop: Future = Future()  # done once stopped; holds the message
+
+    @contextmanager
+    def running(self, timeout_s: Optional[float]) -> Iterator["CancelToken"]:
+        """Arm the deadline and make this the running job's token."""
+        if timeout_s is not None:
+            self.timeout_s, self._deadline = timeout_s, time.monotonic() + timeout_s
+        reset = _ACTIVE_TOKEN.set(self)
+        try:
+            yield self
+        finally:
+            _ACTIVE_TOKEN.reset(reset)
+
+    def stop(self, message: str) -> None:
+        """Stop the job at its next checkpoint (later calls are no-ops)."""
+        self.stopped = True  # first: a waiter woken by ``_stop`` must raise
+        with suppress(InvalidStateError):
+            self._stop.set_result(message)
+
+    def check(self) -> None:
+        """Raise if the job was stopped or its deadline has passed."""
+        if self.stopped:
+            raise JobCancelledError(self._stop.result())
+        if self._deadline is not None and time.monotonic() >= self._deadline:
+            raise JobTimeoutError(
+                f"job exceeded its {self.timeout_s:g}s deadline", self.timeout_s
+            )
+
+    def wait(
+        self, futures: Iterable[Future] = (), timeout_s: Optional[float] = None
+    ) -> Set[Future]:
+        """The ``futures`` done once one is (or ``timeout_s`` passed); checks."""
+        limit = timeout_s
+        if self._deadline is not None:
+            left = max(0.0, self._deadline - time.monotonic())
+            limit = left if limit is None else min(limit, left)
+        done, _ = wait([self._stop, *futures], limit, FIRST_COMPLETED)
+        self.check()
+        return done
+
+
+#: The running job's token; outside any job, one that never stops.
+_ACTIVE_TOKEN = ContextVar("cancel_token", default=CancelToken())
+
+
+def current_token() -> CancelToken:
+    """The running job's :class:`CancelToken`."""
+    return _ACTIVE_TOKEN.get()
+
+
+def checkpoint() -> None:
+    """Raise if the running job was stopped or outlived its deadline."""
+    _ACTIVE_TOKEN.get().check()
 
 
 @dataclass(frozen=True)

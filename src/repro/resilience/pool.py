@@ -22,7 +22,7 @@ from typing import Any, Callable, Optional, TypeVar
 
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.breaker import CLOSED, CircuitBreaker
-from repro.resilience.policy import RetryPolicy
+from repro.resilience.policy import JobCancelledError, JobTimeoutError, RetryPolicy
 
 log = logging.getLogger("repro.resilience")
 
@@ -134,6 +134,9 @@ class PoolSupervisor:
             try:
                 pool = self.pool()
                 result = use(pool)
+            except (JobCancelledError, JobTimeoutError):
+                self.discard(pool)  # never wait on a stopped job's workers
+                raise
             except BrokenProcessPool as exc:  # raised by ``use(pool)``
                 self.metrics.inc("resilience.pool_broken")
                 self.discard(pool)

@@ -9,9 +9,9 @@ clients:
 * requests arrive as NDJSON lines over a local socket
   (:mod:`repro.serve.protocol`), carrying the same frozen ``Job`` /
   ``SweepSpec`` dicts the rest of the repo speaks;
-* a priority queue feeds a bounded worker pool
-  (:mod:`repro.serve.queue`, :mod:`repro.serve.scheduler`): threads for
-  cache-warm STA/MC jobs, the existing process pool (optionally) for
+* one priority queue per worker pool feeds its bounded threads
+  (:mod:`repro.serve.queue`, :mod:`repro.serve.scheduler`): light for
+  cache-warm STA/MC jobs, heavy (optionally on a process pool) for
   CPU-heavy optimizations;
 * identical in-flight submissions **coalesce** on the job-spec hash --
   N concurrent clients asking for the same spec pay for one execution
@@ -23,7 +23,7 @@ clients:
   drains the queue before the daemon exits;
 * failures are supervised (:mod:`repro.resilience`): per-job deadlines,
   process-pool crash recovery under a retry policy and circuit breaker,
-  client reconnect-and-resume, and a queued-job ``cancel`` op.
+  client reconnect-and-resume, and a ``cancel`` op for queued and running jobs.
 
 ``pops serve`` runs the daemon; ``pops submit`` / ``pops status`` /
 ``pops shutdown`` are the bundled clients

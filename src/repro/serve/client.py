@@ -153,10 +153,10 @@ class ServeClient:
         return self._request_one({"op": "shutdown", "drain": drain})
 
     def cancel(self, key: str) -> bool:
-        """Withdraw a queued job by its spec key; ``True`` on success.
+        """Stop a queued or running job by its spec key; ``True`` on success.
 
-        A job already running (or unknown to the daemon) answers
-        ``False`` -- started work cannot be interrupted.
+        A running job stops at its next checkpoint; a key unknown to the
+        daemon (never submitted, or already answered) answers ``False``.
         """
         event = self._request_one({"op": "cancel", "key": key})
         return bool(event.get("cancelled"))
@@ -203,7 +203,8 @@ class ServeClient:
 
         Computable client-side (it is a pure content hash), so a caller
         can :meth:`cancel` or correlate store entries without waiting
-        for the server's ``queued`` event.
+        for the server's ``queued`` event -- for an analytic daemon; a
+        non-analytic one keys the job as its session stamps it.
         """
         if isinstance(spec, (Job, SweepSpec)):
             spec = spec.to_dict()

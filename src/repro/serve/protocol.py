@@ -33,10 +33,10 @@ Events (``event`` discriminates)::
 A submit-level ``timeout_s`` is the job's deadline (it overrides the
 job's own ``timeout_s`` field) and is deliberately *not* part of the
 spec hash -- the same work under a different deadline is still the same
-work for coalescing and the result store.  ``cancel`` withdraws a
-**queued** job by its spec key: every waiter receives a structured
-error event; a job already on a worker cannot be interrupted and the
-cancel is refused (``"cancelled": false``).
+work for coalescing and the result store.  ``cancel`` stops a queued
+or running job by its spec key: every waiter receives a structured
+error event at once, and a running job stops at its next checkpoint;
+an unknown key is refused (``"cancelled": false``).
 
 The **job-spec key** is the deduplication identity everything hangs on:
 the SHA-256 of the canonical JSON of ``{"kind": ..., "spec": ...}``.
@@ -60,7 +60,7 @@ PROTOCOL_VERSION = 1
 #: Request operations a server understands.  ``metrics`` and ``cancel``
 #: (additive within this protocol version; older servers answer an
 #: unknown-op error) return the unified observability snapshot of
-#: :func:`repro.obs.serve_metrics` and withdraw a queued job.
+#: :func:`repro.obs.serve_metrics` and stop a queued or running job.
 OPS = ("ping", "status", "metrics", "shutdown", "submit", "cancel")
 
 #: Submittable work kinds and the Session/explore surface they map to.

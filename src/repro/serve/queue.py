@@ -8,8 +8,8 @@ spec subscribes to the same ticket and receives the same event stream
 *coalesces* by subscribing instead of enqueueing.
 
 :class:`PriorityJobQueue` orders tickets by ``(priority, arrival)``:
-lower priority values run sooner, FIFO within a priority class.  A
-``None`` sentinel wakes workers up for shutdown after the drain.
+lower priority values run sooner, FIFO within a priority class.  The
+server keeps one queue per worker pool.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from repro.resilience import CancelToken
 
 
 @dataclass
@@ -41,11 +43,8 @@ class JobTicket:
     created_s:
         Monotonic creation stamp (``time.perf_counter``); the server
         reads it when the ticket starts to report the queue wait.
-    started / cancelled:
-        Lifecycle flags: ``started`` flips when a worker picks the
-        ticket up (a started job can no longer be cancelled);
-        ``cancelled`` marks a withdrawn ticket so the worker that
-        eventually dequeues it skips execution.
+    token:
+        The job's stop token (``cancel``, ``shutdown --now``, deadline).
     """
 
     key: str
@@ -55,8 +54,7 @@ class JobTicket:
     timeout_s: Optional[float] = None
     waiters: int = 0
     created_s: float = field(default_factory=time.perf_counter)
-    started: bool = False
-    cancelled: bool = False
+    token: CancelToken = field(default_factory=CancelToken)
     _subscribers: List[asyncio.Queue] = field(default_factory=list)
 
     def subscribe(self) -> asyncio.Queue:
@@ -73,44 +71,32 @@ class JobTicket:
 
 
 class PriorityJobQueue:
-    """An ``asyncio.PriorityQueue`` of tickets with shutdown sentinels.
+    """An ``asyncio.PriorityQueue`` of tickets.
 
     Entries never compare beyond ``(priority, seq)`` -- the arrival
     counter is unique -- so tickets themselves need no ordering.
     """
 
-    #: Sentinel priority: sorts after every real job so a drain finishes
-    #: the backlog before workers see the wake-up.
-    _SENTINEL_PRIORITY = 1 << 62
-
     def __init__(self) -> None:
         self._queue: asyncio.PriorityQueue = asyncio.PriorityQueue()
         self._seq = itertools.count()
-        self._depth = 0
 
     @property
     def depth(self) -> int:
         """Tickets enqueued and not yet picked up by a worker."""
-        return self._depth
+        return self._queue.qsize()
 
     def put(self, ticket: JobTicket) -> None:
         """Enqueue one ticket at its priority."""
-        self._depth += 1
         self._queue.put_nowait((ticket.priority, next(self._seq), ticket))
 
-    def put_sentinel(self) -> None:
-        """Wake one worker up for shutdown (after the real backlog)."""
-        self._queue.put_nowait((self._SENTINEL_PRIORITY, next(self._seq), None))
-
-    async def get(self) -> Optional[JobTicket]:
-        """Next ticket by priority, or ``None`` for a shutdown sentinel."""
+    async def get(self) -> JobTicket:
+        """Next ticket by priority."""
         _, _, ticket = await self._queue.get()
-        if ticket is not None:
-            self._depth -= 1
         return ticket
 
     def task_done(self) -> None:
-        """Mark one :meth:`get` processed (sentinels included)."""
+        """Mark one :meth:`get` processed."""
         self._queue.task_done()
 
     async def join(self) -> None:

@@ -1,13 +1,14 @@
 """The worker side: one ticket in, one serialized run record out.
 
-:class:`JobExecutor` owns the daemon's bounded worker pools and knows
-how to run every submit kind against the shared session:
+:class:`JobExecutor` owns the daemon's worker threads and knows how to
+run every submit kind against the shared session:
 
-* **light pool** (threads): ``bounds`` / ``power`` / ``mc`` -- these are
+* **light pool** (its own server queue and threads): ``bounds`` /
+  ``power`` / ``mc`` -- these are
   cache-warm after the first tenant (memoized extraction, compiled
   circuits, batch kernels) and release the GIL into numpy for the heavy
   part, so threads are the right grain;
-* **heavy pool** (threads, optionally escalating to a process pool):
+* **heavy pool** (optionally escalating to a process pool):
   ``optimize`` and ``sweep``, the CPU-bound protocol runs.  With
   ``procs > 0`` single optimizations ship to the executor's supervised
   process pool via the same worker entry
@@ -18,12 +19,10 @@ how to run every submit kind against the shared session:
 The executor is also where the resilience layer lives (see the
 "Resilience" section of ``docs/ARCHITECTURE.md``):
 
-* **deadlines** -- a job carrying ``Job.timeout_s`` (or a submit-level
-  ``timeout_s``) runs on a detached deadline thread; when it expires,
-  :class:`~repro.resilience.JobTimeoutError` frees the worker slot and
-  the server emits a structured timeout error event (the abandoned
-  computation finishes on its thread -- Python threads cannot be
-  killed -- but no queue capacity waits on it);
+* **stop tokens** -- each job runs under its ticket's
+  :class:`~repro.resilience.CancelToken`, armed with its deadline; it
+  raises at its next checkpoint once the deadline passes or ``cancel``
+  / ``shutdown --now`` stop it, and frees its thread;
 * **pool supervision** -- one long-lived
   :class:`~repro.resilience.PoolSupervisor` runs optimize jobs on the
   process pool: a worker crash (``BrokenProcessPool``) recreates the
@@ -50,9 +49,7 @@ byte-identical to direct ``Session`` calls.
 from __future__ import annotations
 
 import logging
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Any, Callable, Dict, Optional
 
 from repro.api.job import Job, SweepSpec
@@ -61,8 +58,9 @@ from repro.api.session import (
     Session,
     _optimize_job_worker,
 )
-from repro.resilience import CircuitBreaker, JobTimeoutError, RetryPolicy
-from repro.resilience import faults
+from repro.resilience import CancelToken, CircuitBreaker, JobTimeoutError
+from repro.resilience import RetryPolicy, faults
+from repro.resilience.policy import current_token
 from repro.resilience.pool import PoolFactory, PoolSupervisor, PoolUnavailable
 from repro.serve.protocol import ProtocolError
 
@@ -76,14 +74,14 @@ EventFn = Callable[[Dict[str, Any]], None]
 
 
 class JobExecutor:
-    """Bounded worker pools + the kind dispatch table.
+    """Bounded worker threads + the kind dispatch table.
 
     Parameters
     ----------
     session:
         The shared (lock-guarded) session every job runs against.
     threads / heavy_threads:
-        Light / heavy thread-pool sizes.
+        Light / heavy pool sizes; :attr:`thread_pool` has their sum.
     procs:
         When positive, ``optimize`` jobs escalate to a process pool of
         this size and ``sweep`` jobs pass it as their ``workers`` fan-
@@ -126,20 +124,10 @@ class JobExecutor:
         self.supervisor = PoolSupervisor(
             procs, self.retry, session.metrics, self.breaker, pool_factory
         )
-        self._light = ThreadPoolExecutor(
-            max_workers=threads, thread_name_prefix="pops-light"
+        #: One thread per server queue worker: a dequeued ticket runs now.
+        self.thread_pool = ThreadPoolExecutor(
+            max_workers=threads + heavy_threads, thread_name_prefix="pops-worker"
         )
-        self._heavy = ThreadPoolExecutor(
-            max_workers=heavy_threads, thread_name_prefix="pops-heavy"
-        )
-        # Deadline-guarded jobs run on this detached pool so the caller
-        # can stop waiting; sized like the worker pools it shadows.
-        self._deadline: Optional[ThreadPoolExecutor] = None
-        self._abandoned = 0
-        # Guards the lazily built deadline pool and ``_abandoned``: worker
-        # threads build and count concurrently, and an unguarded lazy
-        # build lets two threads each create a pool, leaking one.
-        self._lock = threading.Lock()
 
     @property
     def procs(self) -> int:
@@ -148,26 +136,13 @@ class JobExecutor:
 
     # -- pool selection ------------------------------------------------
 
-    def executor_for(self, kind: str) -> ThreadPoolExecutor:
-        """The thread pool a kind's work runs on."""
-        return self._heavy if kind in HEAVY_KINDS else self._light
-
     def pool_name(self, kind: str) -> str:
-        """``"heavy"`` or ``"light"`` -- the pool :meth:`executor_for` picks.
+        """``"heavy"`` or ``"light"`` -- the pool whose queue a kind joins.
 
         Job-lifecycle events report this label so operators can see
         which pool each kind actually landed on.
         """
         return "heavy" if kind in HEAVY_KINDS else "light"
-
-    def _deadline_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._deadline is None:
-                self._deadline = ThreadPoolExecutor(
-                    max_workers=self.threads + self.heavy_threads,
-                    thread_name_prefix="pops-deadline",
-                )
-            return self._deadline
 
     # -- execution -----------------------------------------------------
 
@@ -177,39 +152,27 @@ class JobExecutor:
         payload: Dict[str, Any],
         progress: Optional[EventFn] = None,
         timeout_s: Optional[float] = None,
+        token: Optional[CancelToken] = None,
     ) -> Dict[str, Any]:
         """Execute one unit of work; return the record's lossless dict.
 
         Runs *in a worker thread* (the server dispatches it via
-        ``run_in_executor``).  Job exceptions propagate to the caller,
-        which turns them into error events.  ``timeout_s`` is the
-        deadline precedence chain: the submit-level value here, else the
-        job's own ``timeout_s`` field, else the executor default; when
-        one applies and expires, :class:`JobTimeoutError` is raised and
-        the worker slot is freed (the abandoned computation finishes on
-        a detached deadline thread).
+        ``run_in_executor``) under ``token``, the ticket's stop token,
+        armed with the deadline: the submit-level ``timeout_s``, else
+        the job's own ``timeout_s`` field, else the executor default.
+        Job exceptions propagate to the caller, which turns them into
+        error events.
         """
-        deadline = timeout_s
-        if deadline is None:
+        if timeout_s is None:
             value = payload.get("timeout_s")
-            deadline = float(value) if value is not None else self.timeout_s
-        if deadline is None:
-            return self._dispatch(kind, payload, progress)
-        future = self._deadline_pool().submit(
-            self._dispatch, kind, payload, progress
-        )
+            timeout_s = float(value) if value is not None else self.timeout_s
         try:
-            return future.result(timeout=deadline)
-        except FuturesTimeoutError:
-            future.cancel()  # free the slot if it never started
-            with self._lock:
-                self._abandoned += 1
+            with (token or CancelToken()).running(timeout_s):
+                return self._dispatch(kind, payload, progress)
+        except JobTimeoutError as exc:
             self.session.metrics.inc("resilience.timeouts")
-            log.warning("%s job exceeded its %.3fs deadline", kind, deadline)
-            raise JobTimeoutError(
-                f"{kind} job exceeded its {deadline:g}s deadline",
-                timeout_s=deadline,
-            ) from None
+            log.warning("%s job exceeded its %gs deadline", kind, exc.timeout_s)
+            raise
 
     def _dispatch(
         self,
@@ -217,7 +180,7 @@ class JobExecutor:
         payload: Dict[str, Any],
         progress: Optional[EventFn],
     ) -> Dict[str, Any]:
-        # Injected slowness lands here, inside the deadline guard, so a
+        # Injected slowness lands here, under the job's stop token, so a
         # fault plan can drive a job over its timeout deterministically.
         faults.maybe_sleep(faults.SITE_EXEC_SLOW)
         if kind == "bounds":
@@ -238,7 +201,7 @@ class JobExecutor:
         :attr:`supervisor` retries worker crashes under :attr:`retry`,
         feeds :attr:`breaker` and disables the pool for good on
         transport errors; when it gives up, the job runs in-thread
-        (same record, by contract).
+        (same record, by contract), and a stopped job stops waiting.
         """
 
         def on_pool(pool: Any) -> Dict[str, Any]:
@@ -248,7 +211,10 @@ class JobExecutor:
                 self.session.bench_dir,
                 job.to_dict(),
             )
-            return pool.submit(_optimize_job_worker, task).result()
+            future = pool.submit(_optimize_job_worker, task)
+            while not future.done():
+                current_token().wait([future])
+            return future.result()
 
         try:
             outcome = self.supervisor.run(on_pool)
@@ -293,18 +259,9 @@ class JobExecutor:
     # -- lifecycle / observability -------------------------------------
 
     def shutdown(self, wait: bool = True) -> None:
-        """Tear the pools down (after the server drained its queue)."""
-        # The thread pools shut down outside the lock: a heavy thread
-        # may still need it to reach the deadline pool.
-        self._light.shutdown(wait=wait)
-        self._heavy.shutdown(wait=wait)
-        with self._lock:
-            if self._deadline is not None:
-                # Never wait on abandoned (timed-out) computations.
-                self._deadline.shutdown(wait=False, cancel_futures=True)
-                self._deadline = None
-            wait_pool = wait and self._abandoned == 0
-        self.supervisor.shutdown(wait=wait_pool)
+        """Tear the pools down (after the server drained its queues)."""
+        self.thread_pool.shutdown(wait=wait)
+        self.supervisor.shutdown(wait=wait)
 
     def stats(self) -> Dict[str, Any]:
         """Pool shape for the status endpoint."""
@@ -323,7 +280,6 @@ class JobExecutor:
                 "max_delay_s": self.retry.max_delay_s,
             },
             "timeout_s": self.timeout_s,
-            "abandoned": self._abandoned,
             "breaker": self.breaker.as_dict(),
             "counters": self.session.metrics.counters("resilience."),
         }

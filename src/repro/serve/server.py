@@ -6,9 +6,10 @@ TCP loopback optionally), speaks the NDJSON protocol of
 
 * one lock-guarded, bounded-cache :class:`~repro.api.session.Session`
   (the amortized state every request shares);
-* a :class:`~repro.serve.queue.PriorityJobQueue` drained by asyncio
-  worker tasks that dispatch into the
-  :class:`~repro.serve.scheduler.JobExecutor` pools;
+* one :class:`~repro.serve.queue.PriorityJobQueue` per worker pool
+  (light, heavy), each drained by as many asyncio worker tasks as its
+  pool has threads, all dispatching into the one thread pool of the
+  :class:`~repro.serve.scheduler.JobExecutor`;
 * the in-flight coalescing table (``spec key -> ticket``) and the
   optional content-addressed :class:`~repro.api.store.ResultStore`.
 
@@ -22,6 +23,8 @@ Lifecycle: ``await start()`` binds the socket and spawns workers;
 :meth:`shutdown`) completes.  A draining shutdown stops accepting new
 submissions immediately, finishes every queued and in-flight job (their
 waiters all receive their ``done`` events), then tears the pools down.
+``cancel`` and ``shutdown --now`` answer a job's waiters at once and
+stop its token; the job raises at its next checkpoint.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import __version__
+from repro.api.job import Job, JobError
 from repro.api.session import Session
 from repro.api.store import ResultStore
 from repro.obs.metrics import CounterView, serve_metrics
 from repro.obs.trace import Stopwatch
-from repro.resilience import CircuitBreaker, JobTimeoutError, RetryPolicy
+from repro.resilience import CircuitBreaker, JobCancelledError, JobTimeoutError
+from repro.resilience import RetryPolicy
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -66,9 +71,10 @@ log = logging.getLogger("repro.serve")
 #: ``store_hits`` were answered from the result store, ``coalesced``
 #: attached to an in-flight ticket, and the rest were enqueued and
 #: eventually ``executed`` or ``failed``.  ``rejected`` counts submits
-#: refused while draining, ``cancelled`` queued tickets withdrawn by the
-#: ``cancel`` op, and ``timeouts`` the jobs that died on their deadline
-#: (a subset of ``failed``).
+#: refused while draining, ``cancelled`` queued or running tickets
+#: stopped by the ``cancel`` op, and ``timeouts`` the jobs that died on
+#: their deadline (a subset of ``failed``, which also counts the tickets
+#: a ``shutdown --now`` stopped).
 SERVE_COUNTERS = {
     "submitted": "serve.submitted",
     "executed": "serve.executed",
@@ -161,7 +167,8 @@ class PopsServer:
         )
         #: Read-only view of the ``serve`` block (:data:`SERVE_COUNTERS`).
         self.stats = CounterView(self.metrics, SERVE_COUNTERS)
-        self.queue = PriorityJobQueue()
+        #: One queue per worker pool, keyed by ``JobExecutor.pool_name``.
+        self.queues = {"light": PriorityJobQueue(), "heavy": PriorityJobQueue()}
         self._inflight: Dict[str, JobTicket] = {}
         self._draining = False
         self._shutting_down = False
@@ -183,6 +190,11 @@ class PopsServer:
         if self._server is not None and self._server.sockets:
             port = self._server.sockets[0].getsockname()[1]
         return {"host": self.config.host, "port": port}
+
+    @property
+    def depth(self) -> int:
+        """Tickets queued on either pool and not yet picked up."""
+        return sum(queue.depth for queue in self.queues.values())
 
     @property
     def draining(self) -> bool:
@@ -208,10 +220,11 @@ class PopsServer:
                 port=self.config.port,
                 limit=limit,
             )
-        n_workers = self.config.threads + self.config.heavy_threads
+        sizes = {"light": self.config.threads, "heavy": self.config.heavy_threads}
         self._workers = [
-            self.loop.create_task(self._worker(), name=f"pops-worker-{i}")
-            for i in range(n_workers)
+            self.loop.create_task(self._worker(self.queues[pool]))
+            for pool, size in sizes.items()
+            for _ in range(size)
         ]
         log.info(
             "serving on %s (threads=%d heavy=%d procs=%d store=%s)",
@@ -237,10 +250,9 @@ class PopsServer:
 
         ``drain=True`` (graceful): refuse new submissions, finish every
         queued and in-flight job -- all waiters get their ``done``
-        events -- then exit.  ``drain=False``: queued-but-unstarted
-        tickets are failed with a shutdown error; jobs already on a
-        worker still run to completion (threads cannot be interrupted
-        safely).
+        events -- then exit.  ``drain=False``: every queued and running
+        ticket is failed with a shutdown error and its token stopped, so
+        running jobs end at their next checkpoint.
         """
         if self._shutting_down:
             return
@@ -249,14 +261,18 @@ class PopsServer:
         log.info(
             "shutdown requested (drain=%s, queued=%d, inflight=%d)",
             drain,
-            self.queue.depth,
+            self.depth,
             len(self._inflight),
         )
         if not drain:
-            await self._cancel_backlog()
-        await self.queue.join()
-        for _ in self._workers:
-            self.queue.put_sentinel()
+            for ticket in list(self._inflight.values()):
+                self._withdraw(
+                    ticket, "server shut down before the job finished", "serve.failed"
+                )
+        for queue in self.queues.values():
+            await queue.join()
+        for worker in self._workers:
+            worker.cancel()  # idle in ``get`` once the queues are joined
         await asyncio.gather(*self._workers, return_exceptions=True)
         if self._server is not None:
             self._server.close()
@@ -271,22 +287,16 @@ class PopsServer:
         self._closed.set()
         log.info("shutdown complete")
 
-    async def _cancel_backlog(self) -> None:
-        """Fail every queued-but-unstarted ticket (non-drain shutdown)."""
-        while self.queue.depth > 0:
-            ticket = await self.queue.get()
-            if ticket is None:
-                self.queue.task_done()
-                continue
-            self._inflight.pop(ticket.key, None)
-            self.metrics.inc("serve.failed")
-            ticket.publish(
-                error_event(
-                    RuntimeError("server shut down before the job started"),
-                    key=ticket.key,
-                )
-            )
-            self.queue.task_done()
+    def _withdraw(
+        self, ticket: JobTicket, message: str, counter: str, **fields: Any
+    ) -> None:
+        """Stop ``ticket`` and answer its waiters (the worker then won't)."""
+        self._inflight.pop(ticket.key, None)
+        ticket.token.stop(message)
+        self.metrics.inc(counter)
+        ticket.publish(
+            error_event(JobCancelledError(message), key=ticket.key, **fields)
+        )
 
     # -- test / operational affordances --------------------------------
 
@@ -320,7 +330,7 @@ class PopsServer:
             "draining": self._draining,
             "serve": self.stats.as_dict(),
             "queue": {
-                "depth": self.queue.depth,
+                "depth": self.depth,
                 "inflight": len(self._inflight),
             },
             "pools": self.executor.stats(),
@@ -378,7 +388,7 @@ class PopsServer:
                     {
                         "event": "shutting-down",
                         "drain": drain,
-                        "queued": self.queue.depth + len(self._inflight),
+                        "queued": self.depth + len(self._inflight),
                     },
                 )
                 assert self.loop is not None
@@ -417,7 +427,10 @@ class PopsServer:
             return
         try:
             kind, payload = validate_submit(message)
-        except ProtocolError as exc:
+            if kind != "sweep" and self.session.backend_name != "analytic":
+                # Key the job as the session stamps it (backend, .lib).
+                payload = self.session._prepare_job(Job.from_dict(payload)).to_dict()
+        except (ProtocolError, JobError) as exc:
             await self._send(writer, error_event(exc))
             return
         key = job_spec_key(kind, payload)
@@ -463,7 +476,7 @@ class PopsServer:
                 timeout_s=message.get("timeout_s"),
             )
             self._inflight[key] = ticket
-            self.queue.put(ticket)
+            self.queues[self.executor.pool_name(kind)].put(ticket)
         else:
             self.metrics.inc("serve.coalesced")
         log.info(
@@ -471,7 +484,7 @@ class PopsServer:
             key[:12],
             kind,
             coalesced,
-            self.queue.depth,
+            self.depth,
         )
         events = ticket.subscribe()
         await self._send(
@@ -482,7 +495,7 @@ class PopsServer:
                 "kind": kind,
                 "coalesced": coalesced,
                 "cached": False,
-                "queue_depth": self.queue.depth,
+                "queue_depth": self.depth,
             },
         )
 
@@ -496,51 +509,36 @@ class PopsServer:
     async def _handle_cancel(
         self, message: Dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
-        """Withdraw a queued (not yet started) job by its spec key."""
+        """Stop a queued or running job by its spec key."""
         try:
             key = validate_cancel(message)
         except ProtocolError as exc:
             await self._send(writer, error_event(exc))
             return
         ticket = self._inflight.get(key)
-        cancelled = ticket is not None and not ticket.started
-        if cancelled:
-            assert ticket is not None
-            ticket.cancelled = True
-            self._inflight.pop(key, None)
-            self.metrics.inc("serve.cancelled")
-            log.info("job %s cancelled while queued", key[:12])
-            ticket.publish(
-                error_event(
-                    RuntimeError("job cancelled before it started"),
-                    key=key,
-                    cancelled=True,
-                )
-            )
+        if ticket is not None:
+            self._withdraw(ticket, "job cancelled", "serve.cancelled", cancelled=True)
+            log.info("job %s cancelled", key[:12])
         await self._send(
-            writer, {"event": "cancelled", "key": key, "cancelled": cancelled}
+            writer, {"event": "cancelled", "key": key, "cancelled": ticket is not None}
         )
 
     # -- queue workers --------------------------------------------------
 
-    async def _worker(self) -> None:
-        assert self.loop is not None and self._gate is not None
+    async def _worker(self, queue: PriorityJobQueue) -> None:
+        assert self._gate is not None
         while True:
-            ticket = await self.queue.get()
-            if ticket is None:
-                self.queue.task_done()
-                return
+            ticket = await queue.get()
             await self._gate.wait()
             try:
-                if not ticket.cancelled:
+                if not ticket.token.stopped:  # else withdrawn while queued
                     await self._execute(ticket)
             finally:
-                self.queue.task_done()
+                queue.task_done()
 
     async def _execute(self, ticket: JobTicket) -> None:
         assert self.loop is not None
         loop = self.loop
-        ticket.started = True
         pool = self.executor.pool_name(ticket.kind)
         queue_wait_s = time.perf_counter() - ticket.created_s
         self.metrics.observe("serve.queue_wait_s", queue_wait_s)
@@ -569,33 +567,30 @@ class PopsServer:
             loop.call_soon_threadsafe(ticket.publish, payload)
 
         sw = Stopwatch()
+        failure: Optional[Exception] = None
         try:
             record = await loop.run_in_executor(
-                self.executor.executor_for(ticket.kind),
+                self.executor.thread_pool,
                 self.executor.run,
                 ticket.kind,
                 ticket.payload,
                 progress,
                 ticket.timeout_s,
-            )
-        except JobTimeoutError as exc:
-            # The executor counted it as ``resilience.timeouts``.
-            self.metrics.inc("serve.failed")
-            log.error(
-                "job %s kind=%s timed out after %gs",
-                ticket.key[:12],
-                ticket.kind,
-                exc.timeout_s,
-            )
-            outcome = error_event(
-                exc, key=ticket.key, timeout=True, timeout_s=exc.timeout_s
+                ticket.token,
             )
         except Exception as exc:
+            failure = exc
+        if ticket.token.stopped:
+            return  # ``cancel`` or ``shutdown --now`` answered the ticket
+        if failure is not None:
             self.metrics.inc("serve.failed")
             log.error(
-                "job %s kind=%s failed: %s", ticket.key[:12], ticket.kind, exc
+                "job %s kind=%s failed: %s", ticket.key[:12], ticket.kind, failure
             )
-            outcome = error_event(exc, key=ticket.key)
+            fields: Dict[str, Any] = {}
+            if isinstance(failure, JobTimeoutError):  # the executor counted it
+                fields = {"timeout": True, "timeout_s": failure.timeout_s}
+            outcome = error_event(failure, key=ticket.key, **fields)
         else:
             self.metrics.inc("serve.executed")
             elapsed_s = sw.elapsed_s

@@ -183,6 +183,31 @@ class TestMcCommand:
             with_timing=False
         )
 
+    def test_mc_store_keys_name_the_library(self, capsys, tmp_path):
+        """An analytic and an NLDM run of the same mc job file two records:
+        the NLDM key names the backend and .lib the session stamped."""
+        import glob
+        import os
+
+        lib = os.path.join(
+            os.path.dirname(__file__), "..", "examples", "sample_nldm.lib"
+        )
+        store = str(tmp_path / "mc")
+        args = ["mc", "fpd", "--samples", "40", "--store", store]
+        assert main(args) == 0
+        assert main(args + ["--liberty", lib]) == 0
+        paths = [
+            line.split(":", 1)[1].strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("record      :")
+        ]
+        assert len(set(paths)) == 2
+        assert sorted(glob.glob(os.path.join(store, "*", "*.json"))) == sorted(
+            paths
+        )
+        with open(paths[1], encoding="utf-8") as handle:
+            assert json.load(handle)["job"]["backend"] == "nldm"
+
     def test_mc_bad_samples_is_a_clean_error(self, capsys):
         assert main(["mc", "fpd", "--samples", "1"]) == 2
         assert "mc_samples" in capsys.readouterr().err

@@ -10,7 +10,8 @@ recovery behaviour instead of sleeping and hoping:
 * a pool worker crash mid-optimize is retried on a fresh pool and the
   final record is byte-identical to the fault-free run;
 * a job outliving its deadline raises a structured timeout and frees
-  the worker;
+  the worker; ``cancel`` and ``shutdown --now`` stop running jobs at
+  their next checkpoint, through the same per-job stop token;
 * a dropped client event stream reconnects and resumes idempotently;
 * corrupt result-store entries are quarantined, counted, and agree
   between ``get`` and ``in``;
@@ -19,8 +20,10 @@ recovery behaviour instead of sleeping and hoping:
 """
 
 import json
+import sys
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -30,18 +33,20 @@ from repro.api.job import JobError
 from repro.api.store import ResultStore
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (
+    CancelToken,
     CircuitBreaker,
     FaultPlan,
     FaultSpec,
     InlinePool,
+    JobCancelledError,
     JobTimeoutError,
     PoolSupervisor,
     RetryPolicy,
     faults,
 )
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.resilience.policy import checkpoint
 from repro.serve import (
-    PopsServer,
     ServeClient,
     ServeClientError,
     ServeConfig,
@@ -64,6 +69,86 @@ def _strip_timing(record_dict):
 
 
 # -- the policy layer --------------------------------------------------
+
+
+class TestCancelToken:
+    def test_deadline_and_stop_raise_at_checkpoints(self):
+        token = CancelToken()
+        checkpoint()  # outside any job: a token that never stops
+        with token.running(0.05):
+            checkpoint()
+            with pytest.raises(JobTimeoutError) as excinfo:
+                token.wait([Future()])
+            assert excinfo.value.timeout_s == 0.05
+        checkpoint()  # the job's token left with the job
+        stopped = CancelToken()
+        stopped.stop("stopped by the test")
+        stopped.stop("a second stop is a no-op")
+        with stopped.running(None):
+            with pytest.raises(JobCancelledError, match="by the test"):
+                checkpoint()
+
+    def test_a_waiter_woken_by_stop_always_raises(self):
+        """``stop`` marks the token before it wakes the waiters: a waiter
+        that runs first after the wake-up raises instead of returning."""
+        woke = threading.Event()
+
+        class YieldingFuture(Future):
+            def set_result(self, result):
+                super().set_result(result)
+                woke.wait(timeout=10)  # the woken waiter moves first
+
+        token, outcome = CancelToken(), []
+        token._stop = YieldingFuture()
+
+        def waiter():
+            try:
+                outcome.append(token.wait([Future()]))
+            except JobCancelledError as exc:
+                outcome.append(exc)
+            woke.set()
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        time.sleep(0.05)  # let the waiter block in ``wait``
+        token.stop("stop")
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], JobCancelledError)
+
+    def test_stop_wakes_every_waiter_with_one_error(self):
+        """A stop reaches threads blocked in ``wait`` on work that never
+        finishes: each raises the stop, none returns the token's own
+        future, under a shortened switch interval."""
+        token, never = CancelToken(), Future()
+        outcomes, lock = [], threading.Lock()
+        ready = threading.Barrier(17)
+
+        def waiter():
+            ready.wait(timeout=10)
+            try:
+                while True:
+                    done = token.wait([never])
+                    with lock:
+                        outcomes.append(done)  # a wake-up without a raise
+            except JobCancelledError as exc:
+                with lock:
+                    outcomes.append(str(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=waiter) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            ready.wait(timeout=10)
+            token.stop("stop")
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes == ["stop"] * 16
 
 
 class TestRetryPolicy:
@@ -330,7 +415,7 @@ class TestExecutorDeadline:
             assert excinfo.value.timeout_s == 0.05
             snap = executor.resilience_stats()
             assert snap["counters"]["resilience.timeouts"] == 1
-            assert snap["abandoned"] == 1
+            assert "abandoned" not in snap
             # the worker slot is free: the same executor still runs jobs
             record = executor.run("bounds", job.to_dict())
             assert record["kind"] == "bounds"
@@ -353,7 +438,62 @@ class TestExecutorDeadline:
         try:
             record = executor.run("bounds", Job(benchmark="fpd").to_dict())
             assert record["kind"] == "bounds"
-            assert executor.resilience_stats()["abandoned"] == 0
+        finally:
+            executor.shutdown(wait=False)
+
+    def test_timed_out_jobs_leave_no_thread_behind(self):
+        """Two jobs that outlive their deadline stop at it, so an instant
+        job on the same executor returns its record; nothing runs on."""
+        executor = JobExecutor(
+            Session(), threads=1, heavy_threads=1, timeout_s=0.5
+        )
+        plan = FaultPlan(
+            [FaultSpec(faults.SITE_EXEC_SLOW, times=2, delay_s=3.0)]
+        )
+        payload = Job(benchmark="fpd").to_dict()
+        try:
+            with faults.installed(plan):
+                for _ in range(2):
+                    with pytest.raises(JobTimeoutError):
+                        executor.run("bounds", payload)
+                started = time.monotonic()
+                record = executor.run("bounds", payload)
+            assert record["kind"] == "bounds"
+            assert time.monotonic() - started < 0.5
+            snap = executor.resilience_stats()
+            assert snap["counters"]["resilience.timeouts"] == 2
+            names = [t.name for t in threading.enumerate()]
+            assert not [n for n in names if n.startswith("pops-deadline")]
+        finally:
+            executor.shutdown(wait=False)
+
+    def test_stopped_token_cuts_a_pool_wait_short(self):
+        """A job waiting on the process pool stops at its deadline and
+        the supervisor discards that pool instead of waiting on it."""
+        class HangingPool:
+            shut_down = []
+
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                return Future()  # a worker that never answers
+
+            def shutdown(self, wait=True, **_):
+                self.shut_down.append(wait)
+
+        executor = JobExecutor(
+            Session(), threads=1, heavy_threads=1, procs=1,
+            retry=_fast_retry(), pool_factory=HangingPool,
+        )
+        job = Job(benchmark="fpd", tc_ratio=1.4, timeout_s=0.2)
+        try:
+            started = time.monotonic()
+            with pytest.raises(JobTimeoutError):
+                executor.run("optimize", job.to_dict())
+            assert time.monotonic() - started < 5
+            assert HangingPool.shut_down == [False]  # discarded, not awaited
+            assert executor.breaker.state == CLOSED
         finally:
             executor.shutdown(wait=False)
 
@@ -828,6 +968,108 @@ class TestClientResilience:
             assert record["kind"] == "bounds"
         finally:
             server.resume()
+            server.request_shutdown(drain=True)
+            thread.join(timeout=60)
+
+    def test_cancel_stops_a_running_circuit_optimize(self, tmp_path, monkeypatch):
+        """A cancel reaches a running job: its waiter gets the cancelled
+        error at once, the job stops before its next path, and the heavy
+        worker and the populate locks are free for the next job."""
+        from repro.protocol import optimizer
+
+        entered, release = threading.Event(), threading.Event()
+        paths = []
+        real_optimize_path = optimizer.optimize_path
+
+        def held_first_path(*args, **kwargs):
+            paths.append(1)
+            if len(paths) == 1:
+                entered.set()
+                release.wait(60)
+            return real_optimize_path(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "optimize_path", held_first_path)
+        config = ServeConfig(
+            socket_path=str(tmp_path / "pops.sock"), threads=1,
+            heavy_threads=1,
+        )
+        server, thread = start_server_thread(config)
+        client = ServeClient(socket_path=config.socket_path)
+        job = Job(benchmark="c880", tc_ratio=1.3, scope="circuit")
+        try:
+            errors = []
+
+            def waiter():
+                try:
+                    ServeClient(socket_path=config.socket_path).submit(
+                        "optimize", job
+                    )
+                except ServeClientError as exc:
+                    errors.append(exc)
+
+            waiting = threading.Thread(target=waiter)
+            waiting.start()
+            assert entered.wait(120), "the optimize never reached a path"
+            assert client.cancel(ServeClient.spec_key("optimize", job)) is True
+            waiting.join(timeout=10)
+            assert not waiting.is_alive()
+            assert len(errors) == 1 and "cancelled" in str(errors[0])
+            release.set()
+
+            # The heavy worker runs the next job (a path-scope optimize,
+            # which the held wrapper does not see) ...
+            done = client.submit("optimize", Job(benchmark="fpd", tc_ratio=1.4))
+            assert done["record"]["kind"] == "optimize-path"
+            # ... the cancelled job stopped at the checkpoint before its
+            # second path, and it left the populate locks free.
+            assert len(paths) == 1
+            session = server.session
+            assert session.sta(session.benchmark("c880")).critical_delay_ps > 0
+            serve = client.status()["serve"]
+            assert (serve["cancelled"], serve["failed"]) == (1, 0)
+        finally:
+            release.set()
+            server.request_shutdown(drain=True)
+            thread.join(timeout=60)
+
+    def test_light_job_overtakes_a_held_heavy_backlog(self, tmp_path):
+        """Each pool drains its own queue: with one heavy job running and
+        one queued behind it, a bounds job runs on the idle light thread
+        and finishes first."""
+        config = ServeConfig(
+            socket_path=str(tmp_path / "pops.sock"), threads=1,
+            heavy_threads=1,
+        )
+        server, thread = start_server_thread(config)
+        client = ServeClient(socket_path=config.socket_path)
+        plan = FaultPlan([FaultSpec(faults.SITE_EXEC_SLOW, delay_s=3.0)])
+
+        def submit(kind, job):
+            return client.submit(kind, job), time.monotonic()
+
+        try:
+            with faults.installed(plan), ThreadPoolExecutor(2) as pool:
+                held = pool.submit(
+                    submit, "optimize", Job(benchmark="fpd", tc_ratio=1.4)
+                )
+                while plan.fired() != {faults.SITE_EXEC_SLOW: 1}:
+                    time.sleep(0.005)
+                queued = pool.submit(
+                    submit, "optimize", Job(benchmark="fpd", tc_ratio=1.6)
+                )
+                while server.stats.submitted < 2:
+                    time.sleep(0.005)
+                started = time.monotonic()
+                done, bounds_at = submit("bounds", Job(benchmark="fpd"))
+                assert done["record"]["kind"] == "bounds"
+                # The light thread was idle: no wait on the held 3 s job.
+                assert bounds_at - started < 1.5
+                held_done, held_at = held.result(timeout=60)
+                assert bounds_at < held_at
+                assert held_done["record"]["kind"] == "optimize-path"
+                queued_done, _ = queued.result(timeout=60)
+                assert queued_done["record"]["kind"] == "optimize-path"
+        finally:
             server.request_shutdown(drain=True)
             thread.join(timeout=60)
 

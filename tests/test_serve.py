@@ -14,6 +14,7 @@ talking over a real unix socket in ``tmp_path``.
 """
 
 import asyncio
+import hashlib
 import json
 import threading
 import time
@@ -24,8 +25,8 @@ import pytest
 from repro.api import BoundedCache, Job, RunRecord, Session, SweepSpec
 from repro.api.store import ResultStore
 from repro.obs import MetricsRegistry
+from repro.resilience import FaultPlan, FaultSpec, faults
 from repro.serve import (
-    PopsServer,
     ProtocolError,
     ServeClient,
     ServeClientError,
@@ -218,6 +219,54 @@ class TestSessionConcurrency:
         with ThreadPoolExecutor(max_workers=8) as pool:
             for task, record in pool.map(run, tasks):
                 assert record == reference[task]
+
+    def test_barrier_stepped_mixed_load_matches_serial(self):
+        """Path and circuit optimizes, a 2-point sweep and an mc job,
+        released together by a barrier each round on one Session, give
+        the serial run's records byte for byte."""
+        from repro.explore import run_sweep
+
+        def digests(records):
+            return [
+                hashlib.sha256(
+                    json.dumps(
+                        r.to_dict(with_timing=False), sort_keys=True
+                    ).encode("utf-8")
+                ).hexdigest()
+                for r in records
+            ]
+
+        circuit = dict(scope="circuit", k_paths=2, max_passes=2)
+        spec = SweepSpec(
+            benchmarks=("c432",), tc_ratio_points=(1.3, 1.6), **circuit
+        )
+        tasks = {
+            "path": lambda s: [s.optimize(Job(benchmark="c432", tc_ratio=1.4))],
+            "circuit": lambda s: [
+                s.optimize(Job(benchmark="c432", tc_ratio=1.45, **circuit))
+            ],
+            "sweep": lambda s: run_sweep(s, spec, with_power=False).records,
+            "mc": lambda s: [
+                s.mc(Job(benchmark="c432", mc_samples=64, tc_ratio=1.5))
+            ],
+        }
+        serial = Session()
+        reference = {name: digests(task(serial)) for name, task in tasks.items()}
+        assert len(reference["sweep"]) == 2
+
+        shared = Session(cache_limit=64)
+        barrier = threading.Barrier(len(tasks))
+
+        def run(name):
+            rounds = []
+            for _ in range(2):
+                barrier.wait(timeout=120)
+                rounds.append(digests(tasks[name](shared)))
+            return name, rounds
+
+        with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
+            for name, rounds in pool.map(run, tasks):
+                assert rounds == [reference[name]] * 2, name
 
     def test_populate_lock_single_flight(self):
         """Concurrent misses on one key compute the value exactly once."""
@@ -443,38 +492,35 @@ class TestLifecycle:
         assert server.stats.failed == 0
 
     def test_immediate_shutdown_fails_backlog(self, tmp_path):
-        """drain=False: queued-but-unstarted work fails cleanly; jobs a
-        worker already claimed still run to completion."""
+        """drain=False: the running job stops at its next checkpoint, the
+        queued backlog never starts, and each waiter gets one shutdown
+        error."""
         config = ServeConfig(
             socket_path=str(tmp_path / "now.sock"),
-            threads=1,
-            heavy_threads=1,  # 2 queue workers: 3 jobs leave 1 queued
+            threads=1,  # one light worker: job 0 runs, jobs 1 and 2 queue
+            heavy_threads=1,
         )
         server, thread = start_server_thread(config)
         client = ServeClient(socket_path=config.socket_path)
         jobs = [Job(benchmark="fpd", mc_samples=64, mc_seed=s) for s in range(3)]
-
-        server.pause()
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            futures = [pool.submit(client.submit, "mc", j) for j in jobs]
+        # Job 0 sleeps in an injected fault, far past the test's patience.
+        plan = FaultPlan([FaultSpec(faults.SITE_EXEC_SLOW, delay_s=120.0)])
+        with faults.installed(plan), ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(client.submit, "mc", jobs[0])]
+            while plan.fired() != {faults.SITE_EXEC_SLOW: 1}:
+                time.sleep(0.005)
+            futures += [pool.submit(client.submit, "mc", j) for j in jobs[1:]]
             while server.stats.submitted < len(jobs):
                 time.sleep(0.005)
-            while server.queue.depth > 1:  # let workers claim their jobs
-                time.sleep(0.005)
             client.shutdown(drain=False)
-            server.resume()
-            outcomes = []
             for future in futures:
-                try:
-                    outcomes.append(future.result(timeout=120))
-                except ServeClientError as exc:
-                    outcomes.append(exc)
-        thread.join(timeout=60)
-        errors = [o for o in outcomes if isinstance(o, ServeClientError)]
-        assert len(errors) == 1
-        assert "shut down" in str(errors[0])
-        assert server.stats.failed == 1
-        assert server.stats.executed == len(jobs) - 1
+                with pytest.raises(ServeClientError, match="shut down"):
+                    future.result(timeout=30)
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert server.stats.failed == len(jobs)
+        assert server.stats.executed == 0
+        assert plan.hits()[faults.SITE_EXEC_SLOW] == 1  # the backlog never ran
 
     def test_job_failure_is_an_error_event_not_a_crash(self, daemon):
         server, client = daemon
@@ -517,8 +563,7 @@ class TestLifecycle:
             thread.join(timeout=60)
 
     def test_priority_orders_the_backlog(self):
-        """Lower priority values dequeue sooner, FIFO within a class,
-        and shutdown sentinels sort after every real job."""
+        """Lower priority values dequeue sooner, FIFO within a class."""
         from repro.serve import JobTicket, PriorityJobQueue
 
         async def scenario():
@@ -527,14 +572,11 @@ class TestLifecycle:
                 queue.put(
                     JobTicket(key=key, kind="mc", payload={}, priority=priority)
                 )
-            queue.put_sentinel()
             order = []
-            while True:
-                ticket = await queue.get()
+            while queue.depth:
+                order.append((await queue.get()).key)
                 queue.task_done()
-                if ticket is None:
-                    return order
-                order.append(ticket.key)
+            return order
 
         assert asyncio.run(scenario()) == ["urgent", "slow", "later"]
 
