@@ -8,7 +8,8 @@ simulator (the paper's "Calcul." and "Simulation" columns).
 
 import pytest
 
-from repro.buffering.flimit import TABLE2_GATES, flimit, flimit_simulated
+from repro.buffering.flimit import TABLE2_GATES, characterize_library, flimit
+from repro.buffering.insertion import default_flimits
 from repro.cells.gate_types import GateKind
 from repro.protocol.report import format_table
 
@@ -23,16 +24,22 @@ PAPER_TABLE2 = {
     GateKind.NOR3: (2.7, 2.5),
 }
 
+#: Both columns as the scalar search of each gate alone computes them
+#: (the references kept in ``tests/test_flimit_reference.py``).
+SCALAR_TABLE2 = {
+    GateKind.INV: (6.043439605664245, 8.78472900390625),
+    GateKind.NAND2: (5.124492145286423, 8.86883544921875),
+    GateKind.NAND3: (4.484553797284171, 8.98309326171875),
+    GateKind.NOR2: (3.419170408728995, 4.76666259765625),
+    GateKind.NOR3: (2.4813793188636515, 3.57330322265625),
+}
+
 
 @pytest.fixture(scope="module")
 def table2(lib):
-    rows = {}
-    for gate in TABLE2_GATES:
-        rows[gate] = (
-            flimit(lib, gate),
-            flimit_simulated(lib, gate),
-        )
-    return rows
+    """Both columns, every gate searched in lockstep (one characterisation)."""
+    entries = characterize_library(lib, gates=TABLE2_GATES, with_simulation=True)
+    return {entry.gate: (entry.computed, entry.simulated) for entry in entries}
 
 
 def test_table2_values(benchmark, lib, table2):
@@ -56,6 +63,9 @@ def test_table2_values(benchmark, lib, table2):
     )
     emit("Table 2 -- buffer-insertion fan-out limits", body)
 
+    # The lockstep lanes reproduce the scalar searches.
+    for gate in TABLE2_GATES:
+        assert table2[gate] == pytest.approx(SCALAR_TABLE2[gate], rel=1e-9)
     # Ordering (the metric's purpose).
     calc = {g: table2[g][0] for g in TABLE2_GATES}
     assert (
@@ -86,3 +96,18 @@ def test_table2_flimit_kernel(benchmark, lib):
     """Timed kernel: one closed-form Flimit characterisation."""
     value = benchmark(flimit, lib, GateKind.NOR3)
     assert value > 1.0
+
+
+def test_kernel_flimit_characterize(benchmark, lib):
+    """Timed kernel: the default 20-kind Flimit table, characterised afresh.
+
+    What a fresh process pays on its first optimize (Fig. 7 step 1): every
+    (inverter, gate) pair searched in lockstep, one numpy lane each.  A
+    warm-up round and 20 timed rounds steady the mean the gate compares.
+    """
+    limits = benchmark.pedantic(
+        default_flimits, args=(lib,), kwargs={"use_cache": False},
+        rounds=20, iterations=1, warmup_rounds=1,
+    )
+    assert len(limits) == len(tuple(lib)) == 20
+    assert all(1.0 < value < 50.0 for value in limits.values())

@@ -225,16 +225,22 @@ class Session:
         ``stats.characterizations`` counts *actual* characterisations:
         it stays at zero when the insertion-layer cache already holds the
         table for this library's fingerprint (e.g. a sibling session over
-        an equal library built it).
+        an equal library built it).  Filling the table records a
+        ``buffering.flimits`` span whose ``characterised`` attribute says
+        which of the two happened.
         """
         if self._flimits is None:
             with self._populate_lock("flimits", None):
                 if self._flimits is None:
                     from repro.buffering.insertion import flimit_cache_contains
 
-                    if not flimit_cache_contains(self._library):
-                        self.metrics.inc("characterizations")
-                    self._flimits = default_flimits(self._library)
+                    characterised = not flimit_cache_contains(self._library)
+                    with self.tracer.span(
+                        "buffering.flimits", characterised=characterised
+                    ):
+                        if characterised:
+                            self.metrics.inc("characterizations")
+                        self._flimits = default_flimits(self._library)
         return self._flimits
 
     def _memo(

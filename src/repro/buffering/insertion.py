@@ -87,11 +87,14 @@ def default_flimits(
 ) -> Dict[Tuple[GateKind, GateKind], float]:
     """Characterise the library once and return the lookup table.
 
-    Characterisation runs a bisection over golden-section searches per
-    gate pair -- by far the most expensive prerequisite of the protocol --
-    so the result is cached per library fingerprint: every later call
-    with an equal (immutable) library returns the table without
-    recomputing.  ``use_cache=False`` forces a fresh characterisation.
+    Characterisation searches every (inverter, gate) pair as one lane of
+    a single lockstep bisection over golden-section searches (see
+    :func:`~repro.buffering.flimit.characterize_library`); a table
+    backend times its lanes one at a time and takes far longer than the
+    analytic model.  The result is cached per library fingerprint:
+    every later call with an equal (immutable) library returns the table
+    without recomputing.  ``use_cache=False`` forces a fresh
+    characterisation.
     """
     if use_cache:
         limits = _FLIMIT_CACHE.get(library.fingerprint())

@@ -90,8 +90,12 @@ class ServeClient:
         try:
             if self.socket_path is not None:
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                sock.settimeout(self.timeout_s)
-                sock.connect(self.socket_path)
+                try:
+                    sock.settimeout(self.timeout_s)
+                    sock.connect(self.socket_path)
+                except OSError:
+                    sock.close()
+                    raise
             else:
                 sock = socket.create_connection(
                     (self.host, int(self.port or 0)), timeout=self.timeout_s

@@ -5,6 +5,7 @@ from repro.spice.simulator import (
     SimOptions,
     simulate_gate,
     simulate_path,
+    simulate_paths,
 )
 from repro.spice.waveform import (
     MeasurementError,
@@ -18,6 +19,7 @@ __all__ = [
     "SimOptions",
     "ChainSimResult",
     "simulate_path",
+    "simulate_paths",
     "simulate_gate",
     "crossing_time",
     "delay_50",

@@ -17,6 +17,10 @@ Model
   eq. 1 coupling factor approximates -- plus junction, side and terminal
   loads.
 * Integration: fixed-step RK4 on ``M dV/dt = I(V, t)``.
+  :func:`simulate_paths` advances a batch of transients in one RK4 loop
+  over ``(lanes, nodes)`` arrays, lanes grouped by expanded node count
+  (nothing is padded), each on its own time grid; every lane equals a
+  one-path run bit for bit (``tests/test_simulator_reference.py``).
 
 Units: fF, ps, V, mA throughout (consistent: mA = fF*V/ps).
 """
@@ -24,7 +28,7 @@ Units: fF, ps, V, mA throughout (consistent: mA = fF*V/ps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,16 +89,6 @@ class ChainSimResult:
     stage_transitions_ps: Tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class _PrimStage:
-    """One inverting primitive stage of the expanded chain."""
-
-    wn_eff_um: float
-    wp_eff_um: float
-    cm_ff: float
-    cnode_ff: float  # junction + side + downstream input caps (no CM)
-
-
 _COMPOSITE_EXPANSION = {
     GateKind.BUF: (GateKind.INV, GateKind.INV),
     GateKind.AND2: (GateKind.NAND2, GateKind.INV),
@@ -133,34 +127,43 @@ def _expand_stages(
 
 
 def _alpha_power_current(
-    widths_um: np.ndarray,
+    drive: np.ndarray,
     vgs: np.ndarray,
     vds: np.ndarray,
-    beta: float,
     vt: float,
     alpha: float,
     vd0_coeff: float,
 ) -> np.ndarray:
-    """Vectorised Sakurai--Newton drain current (mA)."""
+    """Vectorised Sakurai--Newton drain current (mA); ``drive`` is beta * W."""
     vgst = np.maximum(vgs - vt, 0.0)
     vds_pos = np.maximum(vds, 0.0)
-    i_sat = beta * widths_um * vgst**alpha
+    i_sat = drive * vgst**alpha
     vd0 = vd0_coeff * vgst ** (alpha / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(vd0 > 0, vds_pos / np.where(vd0 > 0, vd0, 1.0), np.inf)
-    triode = i_sat * np.clip(x, 0.0, 1.0) * (2.0 - np.clip(x, 0.0, 1.0))
+    conducting = vd0 > 0
+    x = np.where(conducting, vds_pos / np.where(conducting, vd0, 1.0), np.inf)
+    linear = np.clip(x, 0.0, 1.0)
+    triode = i_sat * linear * (2.0 - linear)
     return np.where(x >= 1.0, i_sat, triode)
 
 
-def simulate_path(
-    path: BoundedPath,
-    sizes: Sequence[float],
-    library: Library,
-    options: Optional[SimOptions] = None,
-) -> ChainSimResult:
-    """Transient-simulate a sized path and measure its delays."""
-    if options is None:
-        options = SimOptions()
+@dataclass(frozen=True)
+class _Lane:
+    """One path transient, ready to integrate: the per-lane inputs of the RK4 loop."""
+
+    stage_map: Tuple[int, ...]
+    wn_eff_um: np.ndarray
+    wp_eff_um: np.ndarray
+    cm_ff: np.ndarray
+    m_inv: np.ndarray
+    times_ps: np.ndarray
+    v0: np.ndarray
+    input_rising: bool
+
+
+def _build_lane(
+    path: BoundedPath, sizes: Sequence[float], library: Library, options: SimOptions
+) -> _Lane:
+    """Expand, assemble and time-grid one sized path."""
     tech = library.tech
     vdd = tech.vdd
     arr = np.asarray(sizes, dtype=float).copy()
@@ -173,27 +176,20 @@ def simulate_path(
     input_rising = path.input_edge is Edge.RISE
 
     # Assemble per-node electrical data.
-    stages: List[_PrimStage] = []
+    wn_eff, wp_eff, cm_list, cnode_list = [], [], [], []
     for i, (cell, cin, cside) in enumerate(prim):
         wn, wp = cell.wn_wp_um(cin, tech)
         downstream = prim[i + 1][1] if i + 1 < m else path.cterm_ff
-        cnode = cell.parasitic_cap(cin) + cside + downstream
+        cnode_list.append(cell.parasitic_cap(cin) + cside + downstream)
         # Simulation-side C_M: mean of the two per-edge values (the edge
         # alternates stage to stage anyway).
-        cm = 0.5 * (cell.coupling_cap(cin, True) + cell.coupling_cap(cin, False))
-        stages.append(
-            _PrimStage(
-                wn_eff_um=wn / cell.stack_n,
-                wp_eff_um=wp / cell.stack_p,
-                cm_ff=cm,
-                cnode_ff=cnode,
-            )
+        cm_list.append(
+            0.5 * (cell.coupling_cap(cin, True) + cell.coupling_cap(cin, False))
         )
-
-    wn_eff = np.array([s.wn_eff_um for s in stages])
-    wp_eff = np.array([s.wp_eff_um for s in stages])
-    cm = np.array([s.cm_ff for s in stages])
-    cnode = np.array([s.cnode_ff for s in stages])
+        wn_eff.append(wn / cell.stack_n)
+        wp_eff.append(wp / cell.stack_p)
+    cm = np.array(cm_list)
+    cnode = np.array(cnode_list)
 
     # Capacitance matrix: node i couples to its driving node (i-1 or the
     # source) through cm[i], and to node i+1 through cm[i+1].
@@ -204,79 +200,120 @@ def simulate_path(
             matrix[i, i] += cm[i + 1]
             matrix[i, i + 1] -= cm[i + 1]
             matrix[i + 1, i] -= cm[i + 1]
-    m_inv = np.linalg.inv(matrix)
-
-    nmos = nmos_for(tech)
-    pmos = pmos_for(tech)
 
     if options.t_end_ps is not None:
         t_end = options.t_end_ps
     else:
         model = evaluate_path(path, arr, library)
         t_end = 3.0 * model.total_delay_ps + 10.0 * options.input_transition_ps + 50.0
-    t_start = 2.0 * options.input_transition_ps + 10.0
-    times = np.linspace(0.0, t_end, options.n_steps + 1)
-    dt = times[1] - times[0]
-
-    vin_t = ramp_input(times, vdd, input_rising, t_start, options.input_transition_ps)
-    slope = vdd / options.input_transition_ps if options.input_transition_ps > 0 else 0.0
-
-    def input_level(t: float) -> float:
-        if options.input_transition_ps == 0:
-            level = vdd if t >= t_start else 0.0
-        else:
-            frac = np.clip((t - t_start) / options.input_transition_ps, 0.0, 1.0)
-            level = vdd * frac
-        return level if input_rising else vdd - level
-
-    def input_slope(t: float) -> float:
-        if options.input_transition_ps == 0:
-            return 0.0
-        inside = t_start <= t <= t_start + options.input_transition_ps
-        if not inside:
-            return 0.0
-        return slope if input_rising else -slope
-
-    def derivative(t: float, v: np.ndarray) -> np.ndarray:
-        vin = np.empty(m)
-        vin[0] = input_level(t)
-        vin[1:] = v[:-1]
-        i_n = _alpha_power_current(
-            wn_eff, vin, v, nmos.beta_ma_per_um, nmos.vt, nmos.alpha, nmos.vd0_per_vgst
-        )
-        i_p = _alpha_power_current(
-            wp_eff, vdd - vin, vdd - v, pmos.beta_ma_per_um, pmos.vt, pmos.alpha,
-            pmos.vd0_per_vgst,
-        )
-        rhs = i_p - i_n
-        rhs[0] += cm[0] * input_slope(t)
-        return m_inv @ rhs
 
     # DC initial condition: primitives are all inverting.
-    v = np.empty(m)
+    v0 = np.empty(m)
     level = 0.0 if input_rising else vdd
     for i in range(m):
         level = vdd - level
-        v[i] = level
+        v0[i] = level
 
-    history = np.empty((m, times.size))
-    history[:, 0] = v
-    for step in range(times.size - 1):
-        t = times[step]
-        k1 = derivative(t, v)
-        k2 = derivative(t + 0.5 * dt, v + 0.5 * dt * k1)
-        k3 = derivative(t + 0.5 * dt, v + 0.5 * dt * k2)
-        k4 = derivative(t + dt, v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _Lane(
+        stage_map=stage_map,
+        wn_eff_um=np.array(wn_eff),
+        wp_eff_um=np.array(wp_eff),
+        cm_ff=cm,
+        m_inv=np.linalg.inv(matrix),
+        times_ps=np.linspace(0.0, t_end, options.n_steps + 1),
+        v0=v0,
+        input_rising=input_rising,
+    )
+
+
+def _integrate(lanes: Sequence[_Lane], library: Library, options: SimOptions) -> np.ndarray:
+    """RK4-advance lanes of one node count together; ``(lanes, nodes, steps + 1)``.
+
+    Every operation acts element by element on ``(lanes, nodes)`` arrays,
+    and ``m_inv @ rhs`` is a stack of the same matrix-vector products, so
+    each lane's waveform equals a one-lane run bit for bit.  The source
+    level and its ``C_M`` injection depend on time only, so they are
+    evaluated for every step up front.
+    """
+    tech = library.tech
+    vdd = tech.vdd
+    nmos = nmos_for(tech)
+    pmos = pmos_for(tech)
+    n_drive = nmos.beta_ma_per_um * np.stack([lane.wn_eff_um for lane in lanes])
+    p_drive = pmos.beta_ma_per_um * np.stack([lane.wp_eff_um for lane in lanes])
+    cm0 = np.array([lane.cm_ff[0] for lane in lanes])
+    m_inv = np.stack([lane.m_inv for lane in lanes])
+    times = np.stack([lane.times_ps for lane in lanes])
+    rising = np.array([lane.input_rising for lane in lanes])
+    dt = times[:, 1] - times[:, 0]
+    dt_col = dt[:, None]
+
+    tr = options.input_transition_ps
+    t_start = 2.0 * tr + 10.0
+    slope = vdd / tr if tr > 0 else 0.0
+    lane_slope = np.where(rising, slope, -slope)[:, None]
+
+    def source(t: np.ndarray):
+        """Input level and ``C_M`` injection at ``t``, transposed to ``(steps, lanes)``."""
+        if tr == 0:
+            level = np.where(t >= t_start, vdd, 0.0)
+            current = np.zeros(t.shape)
+        else:
+            level = vdd * np.clip((t - t_start) / tr, 0.0, 1.0)
+            inside = (t_start <= t) & (t <= t_start + tr)
+            current = cm0[:, None] * np.where(inside, lane_slope, 0.0)
+        return np.where(rising[:, None], level, vdd - level).T, current.T
+
+    level_t, drive_t = source(times)
+    level_mid, drive_mid = source(times + (0.5 * dt)[:, None])
+    level_end, drive_end = source(times + dt_col)
+
+    def derivative(level: np.ndarray, drive: np.ndarray, v: np.ndarray) -> np.ndarray:
+        vin = np.empty(v.shape)
+        vin[:, 0] = level
+        vin[:, 1:] = v[:, :-1]
+        i_n = _alpha_power_current(
+            n_drive, vin, v, nmos.vt, nmos.alpha, nmos.vd0_per_vgst
+        )
+        i_p = _alpha_power_current(
+            p_drive, vdd - vin, vdd - v, pmos.vt, pmos.alpha, pmos.vd0_per_vgst
+        )
+        rhs = i_p - i_n
+        rhs[:, 0] += drive
+        return (m_inv @ rhs[:, :, None])[:, :, 0]
+
+    v = np.stack([lane.v0 for lane in lanes])
+    history = np.empty(v.shape + (times.shape[1],))
+    history[:, :, 0] = v
+    for step in range(times.shape[1] - 1):
+        k1 = derivative(level_t[step], drive_t[step], v)
+        k2 = derivative(level_mid[step], drive_mid[step], v + 0.5 * dt_col * k1)
+        k3 = derivative(level_mid[step], drive_mid[step], v + 0.5 * dt_col * k2)
+        k4 = derivative(level_end[step], drive_end[step], v + dt_col * k3)
+        v = v + (dt_col / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         v = np.clip(v, -0.5 * vdd, 1.5 * vdd)
-        history[:, step + 1] = v
+        history[:, :, step + 1] = v
+    return history
 
-    # Measurements on the original path stages.
+
+def _measure(
+    path: BoundedPath,
+    lane: _Lane,
+    history: np.ndarray,
+    library: Library,
+    options: SimOptions,
+) -> ChainSimResult:
+    """Delays and transitions of one lane's waveforms on the original path stages."""
+    vdd = library.tech.vdd
+    times = lane.times_ps
+    input_rising = lane.input_rising
+    t_start = 2.0 * options.input_transition_ps + 10.0
+    vin_t = ramp_input(times, vdd, input_rising, t_start, options.input_transition_ps)
     stage_delays: List[float] = []
     stage_transitions: List[float] = []
     prev_wave = vin_t
     prev_rising = input_rising
-    for path_index, node_index in enumerate(stage_map):
+    for path_index, node_index in enumerate(lane.stage_map):
         wave = history[node_index]
         # Polarity at this output.
         edge = path.edge_at(path_index)
@@ -289,19 +326,62 @@ def simulate_path(
         prev_wave = wave
         prev_rising = out_rising
 
-    last_wave = history[stage_map[-1]]
-    last_rising = prev_rising
-    path_delay = delay_50(times, vin_t, last_wave, vdd, input_rising, last_rising)
+    last_wave = history[lane.stage_map[-1]]
+    path_delay = delay_50(times, vin_t, last_wave, vdd, input_rising, prev_rising)
 
     return ChainSimResult(
         times_ps=times,
         input_volts=vin_t,
         node_volts=history,
-        stage_map=stage_map,
+        stage_map=lane.stage_map,
         path_delay_ps=path_delay,
         stage_delays_ps=tuple(stage_delays),
         stage_transitions_ps=tuple(stage_transitions),
     )
+
+
+def simulate_paths(
+    paths: Sequence[BoundedPath],
+    sizes: Sequence[Sequence[float]],
+    library: Library,
+    options: Optional[SimOptions] = None,
+) -> List[ChainSimResult]:
+    """Transient-simulate a batch of sized paths; one result per path.
+
+    Paths whose expanded chains have the same node count advance
+    together in one RK4 loop over ``(lanes, nodes)`` arrays -- nothing
+    is padded -- each lane on its own time grid and step.  Every result
+    equals :func:`simulate_path` of its path alone, bit for bit.
+    """
+    if options is None:
+        options = SimOptions()
+    if len(paths) != len(sizes):
+        raise ValueError(f"{len(paths)} paths but {len(sizes)} sizing vectors")
+    lanes = [
+        _build_lane(path, lane_sizes, library, options)
+        for path, lane_sizes in zip(paths, sizes)
+    ]
+    groups: Dict[int, List[int]] = {}
+    for index, lane in enumerate(lanes):
+        groups.setdefault(lane.v0.size, []).append(index)
+    results: List[Optional[ChainSimResult]] = [None] * len(lanes)
+    for members in groups.values():
+        history = _integrate([lanes[i] for i in members], library, options)
+        for row, index in enumerate(members):
+            results[index] = _measure(
+                paths[index], lanes[index], history[row], library, options
+            )
+    return results  # type: ignore[return-value]
+
+
+def simulate_path(
+    path: BoundedPath,
+    sizes: Sequence[float],
+    library: Library,
+    options: Optional[SimOptions] = None,
+) -> ChainSimResult:
+    """Transient-simulate a sized path and measure its delays."""
+    return simulate_paths([path], [sizes], library, options)[0]
 
 
 def simulate_gate(

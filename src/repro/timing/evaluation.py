@@ -36,7 +36,7 @@ numpy.  Non-analytic backends keep their generic per-stage chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -226,17 +226,102 @@ def _sized_delay(path: BoundedPath, xs: List[float], library: Library) -> float:
     if not isinstance(backend, AnalyticBackend):
         return _backend_path_delay(path, np.array(xs), library, backend)
     k = _constants(path, library.tech)
+    return _chain_delay(
+        xs, path.cterm_ff, path.tin_first_ps, k.p, k.cside, k.s_tau, k.m, k.vt
+    )
+
+
+def _chain_delay(xs, cterm, tin, p, cside, s_tau, m, vt):
+    """Eq. 1 total of a stage chain: the one loop behind every analytic delay.
+
+    Called with floats by :func:`_sized_delay` and with one numpy array
+    per stage (a value per lane, or one float shared by every lane) by
+    :class:`PathLanes`.  The loop uses only ``+ - * /``, which numpy
+    rounds element by element exactly as Python rounds floats, so each
+    lane equals the scalar call bit for bit.
+    """
     total = 0.0
-    tin = path.tin_first_ps
-    for c, downstream, p, cside, s_tau, m, vt in zip(
-        xs, xs[1:] + [path.cterm_ff], k.p, k.cside, k.s_tau, k.m, k.vt
+    for c, downstream, p_i, cside_i, s_tau_i, m_i, vt_i in zip(
+        xs, xs[1:] + [cterm], p, cside, s_tau, m, vt
     ):
-        cl = p * c + cside + downstream
-        tout = s_tau * cl / c
-        cm = m * c
-        total += 0.5 * vt * tin + 0.5 * (1.0 + 2.0 * cm / (cm + cl)) * tout
+        cl = p_i * c + cside_i + downstream
+        tout = s_tau_i * cl / c
+        cm = m_i * c
+        total += 0.5 * vt_i * tin + 0.5 * (1.0 + 2.0 * cm / (cm + cl)) * tout
         tin = tout
     return total
+
+
+class PathLanes:
+    """Equal-length paths timed together, one numpy lane per path.
+
+    :meth:`delays` returns, lane for lane, :func:`path_delay_ps` of
+    ``paths[l].with_terminal_load(cterm_ff[l])`` at the sizes
+    ``[s[l] for s in sizes]``, bit for bit.  Analytic lanes run
+    :func:`_chain_delay` on arrays; other backends time their lanes one
+    at a time through :func:`path_delay_ps`.  The Flimit characterisation
+    (:mod:`repro.buffering.flimit`) searches all of its gate pairs as
+    lanes of one bisection.
+    """
+
+    def __init__(self, paths: Sequence[BoundedPath], library: Library) -> None:
+        self.paths = tuple(paths)
+        self.library = library
+        if len({len(path) for path in self.paths}) != 1:
+            raise ValueError("lanes need one or more paths of equal length")
+        self._analytic = isinstance(library.delay_backend, AnalyticBackend)
+        self._loads: List[float] = []
+        self._terminal: List[BoundedPath] = []
+        if self._analytic:
+            ks = [_constants(path, library.tech) for path in self.paths]
+            self._columns = tuple(
+                tuple(
+                    _lane_column(stage)
+                    for stage in zip(*(getattr(k, name) for k in ks))
+                )
+                for name in ("p", "cside", "s_tau", "m", "vt")
+            )
+            self._cin_first = _lane_column([path.cin_first_ff for path in self.paths])
+            self._tin = _lane_column([path.tin_first_ps for path in self.paths])
+
+    def delays(
+        self, sizes: Sequence[Union[float, np.ndarray]], cterm_ff: np.ndarray
+    ) -> np.ndarray:
+        """Each lane's total path delay (ps), shape ``(lanes,)``.
+
+        ``sizes[i]`` is stage ``i``'s input capacitance: one value per
+        lane, or one float for every lane.  Stage 0 is pinned to each
+        path's ``cin_first_ff``, as in :func:`path_delay_ps`.  Sizes must
+        be positive.
+        """
+        if self._analytic:
+            xs = [self._cin_first] + list(sizes[1:])
+            return _chain_delay(xs, cterm_ff, self._tin, *self._columns)
+        loads = cterm_ff.tolist()
+        if loads != self._loads:
+            # A search evaluates many sizings under one set of loads.
+            self._loads = loads
+            self._terminal = [
+                path.with_terminal_load(load) for path, load in zip(self.paths, loads)
+            ]
+        columns = [
+            s.tolist() if isinstance(s, np.ndarray) else [s] * len(loads) for s in sizes
+        ]
+        return np.array([
+            path_delay_ps(path, [column[lane] for column in columns], self.library)
+            for lane, path in enumerate(self._terminal)
+        ])
+
+
+def _lane_column(values: Sequence[float]) -> Union[float, np.ndarray]:
+    """Per-lane constants as an array, or one float when every lane has the same bits.
+
+    A float operand broadcasts to the same element-wise arithmetic at a
+    fraction of an array operation's cost.
+    """
+    if len({float(v).hex() for v in values}) == 1:
+        return float(values[0])
+    return np.array(values, dtype=float)
 
 
 def _backend_evaluate_path(

@@ -254,6 +254,20 @@ class TestSessionIntegration:
             assert span["attrs"]["cone_gates"] > 0, span
             assert "cone_truncations" in span["attrs"], span
 
+    def test_flimit_characterisation_is_a_span(self, monkeypatch):
+        """Filling the Flimit table is attributed, cold process cache or not."""
+        import repro.buffering.insertion as insertion
+
+        monkeypatch.setattr(insertion, "_FLIMIT_CACHE", {})
+        job = Job(benchmark="fpd", tc_ratio=1.4, scope="circuit", max_passes=1)
+        for expected in (True, False):
+            tracer = Tracer()
+            Session(tracer=tracer).optimize(job)
+            spans = [s for s in tracer.to_dicts() if s["name"] == "buffering.flimits"]
+            assert [s["attrs"] for s in spans] == [{"characterised": expected}]
+            parent = next(s for s in tracer.to_dicts() if s["id"] == spans[0]["parent"])
+            assert parent["name"] == "session.optimize"
+
     def test_telemetry_on_record(self, traced_run):
         _, _, _, record = traced_run
         telemetry = record.telemetry

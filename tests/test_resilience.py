@@ -19,10 +19,12 @@ recovery behaviour instead of sleeping and hoping:
   (permanent serial fallback) from "worker crashed" (retry first).
 """
 
+import gc
 import json
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -879,6 +881,22 @@ class TestClientResilience:
         assert "last error" in message
         assert "nowhere.sock" in message  # the underlying connect failure
         assert excinfo.value.__cause__ is not None
+
+    def test_failed_connects_close_their_sockets(self, tmp_path):
+        """A refused connect leaves no socket for the collector to warn about."""
+        client = ServeClient(
+            socket_path=str(tmp_path / "nowhere.sock"),
+            retry=RetryPolicy(attempts=2, base_s=0.01, jitter=0.0),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ServeClientError):
+                client.ping()
+            with pytest.raises(ServeClientError):
+                client.wait_ready(timeout_s=0.05)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
     def test_submit_gives_up_with_transient_error(self, tmp_path):
         client = ServeClient(
