@@ -19,11 +19,14 @@ memoizes every expensive derived artefact around it:
 
 Operations take a declarative :class:`~repro.api.job.Job` and return a
 :class:`~repro.api.records.RunRecord` -- a serializable envelope that the
-CLI renders, campaigns archive, and the batch runner ships across process
-boundaries.  :meth:`Session.optimize_many` is the scale-out surface: a
-supervised process pool (:class:`~repro.resilience.pool.PoolSupervisor`)
-with a transparent serial fallback, guaranteed to produce payloads
-byte-identical to the serial loop.
+CLI renders, campaigns archive, and the job runner ships across process
+boundaries.  :meth:`Session.run_chunks` is the one job runner: batches
+(:meth:`Session.optimize_many`), sweeps (:func:`repro.explore.run_sweep`)
+and the daemon's optimize jobs all hand it chunks of jobs, which it runs
+under a per-chunk warm start, on a supervised process pool
+(:class:`~repro.resilience.pool.PoolSupervisor`) through the one worker
+entry :func:`_chunk_worker`, or in-thread -- payloads byte-identical
+either way.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import accumulate
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.activity import estimate_activity
@@ -61,7 +65,8 @@ from repro.obs.metrics import CounterView, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Stopwatch, Tracer
 from repro.process.technology import Technology
 from repro.protocol.optimizer import WarmStart, optimize_circuit, optimize_path
-from repro.resilience.policy import checkpoint
+from repro.resilience import faults
+from repro.resilience.policy import checkpoint, current_token
 from repro.resilience.pool import RETRY_ONCE, PoolSupervisor, PoolUnavailable
 from repro.sizing.bounds import DelayBounds, delay_bounds, tmin_memo
 from repro.timing.critical_paths import ExtractedPath, critical_path
@@ -715,6 +720,107 @@ class Session:
 
     # -- batch / scale-out ---------------------------------------------
 
+    def run_chunks(
+        self,
+        chunks: Iterable[Iterable[Job]],
+        on_record: Callable[[int, RunRecord], None],
+        supervisor: Optional[PoolSupervisor] = None,
+    ) -> None:
+        """Optimize chunks of jobs; hand each record to ``on_record``.
+
+        The jobs of a chunk run in order under one
+        :class:`~repro.protocol.optimizer.WarmStart`, so they share its
+        eq. 4 and extraction memos; a one-job chunk still solves each
+        path once.  ``on_record(index, record)`` fires as soon as a
+        record exists, ``index`` being the job's position in the
+        concatenated chunks.
+
+        With a ``supervisor``, every undelivered chunk is one task for
+        the pool worker entry (:func:`_chunk_worker`): completions stream
+        back through the running job's stop token, a worker crash re-runs
+        only the chunks not yet delivered, and a job failure ends its
+        chunk.  Without one, or once the supervisor gives up, the
+        remaining chunks run in this thread, each job behind a
+        :func:`~repro.resilience.policy.checkpoint` and inside a
+        ``sweep.point`` span.  Either way a job error raised is the
+        serial loop's: the lowest failed chunk's, once every chunk before
+        it was delivered.  An error from ``on_record`` itself is raised
+        as is, and the pool is not blamed for it.  Records are
+        byte-identical on both paths.
+        """
+        chunks = [[self._prepare_job(job) for job in chunk] for chunk in chunks]
+        starts = list(accumulate((len(chunk) for chunk in chunks), initial=0))
+        # chunk index -> its job error (``None`` for a clean chunk)
+        delivered: Dict[int, Optional[BaseException]] = {}
+
+        def on_pool(pool: Any) -> Optional[Exception]:
+            task = (self._library, self.flimits(), self.bench_dir)
+            futures = {
+                pool.submit(_chunk_worker, (*task, [j.to_dict() for j in chunk])): i
+                for i, chunk in enumerate(chunks)
+                if i not in delivered
+            }
+            pending = set(futures)
+            while pending:
+                done = current_token().wait(pending)
+                pending -= done
+                ordered = sorted(done, key=futures.__getitem__)
+                for future in ordered:
+                    if future.exception() is not None:
+                        continue
+                    index = futures[future]
+                    error = None
+                    for offset, entry in enumerate(future.result()):
+                        if JOB_ERROR_KEY in entry:
+                            error = entry[JOB_ERROR_KEY]
+                            break
+                        self.metrics.inc("jobs_run")
+                        record = RunRecord.from_dict(entry, library=self._library)
+                        try:
+                            on_record(starts[index] + offset, record)
+                        except Exception as exc:
+                            # The caller's failure, returned so that the
+                            # supervisor never takes it for the pool's.
+                            for other in pending:
+                                other.cancel()
+                            return exc
+                    delivered[index] = error
+                for future in ordered:
+                    future.result()  # pool breakage raises after delivery
+            return None
+
+        if supervisor is not None:
+            try:
+                failure = supervisor.run(on_pool)
+            except PoolUnavailable:
+                failure = None  # the loop below runs what was not delivered
+            if failure is not None:
+                raise failure
+        for index, chunk in enumerate(chunks):
+            if index in delivered:
+                error = delivered[index]
+                if error is not None:
+                    raise error
+                continue
+            warm = WarmStart()
+            for offset, job in enumerate(chunk):
+                checkpoint()
+                with self.tracer.span("sweep.point", label=job.name) as span:
+                    record = self.optimize(job, warm=warm)
+                    span.set(elapsed_s=float(record.elapsed_s))
+                on_record(starts[index] + offset, record)
+
+    def _batch_supervisor(
+        self, workers: Optional[int], n_chunks: int
+    ) -> PoolSupervisor:
+        """A per-call pool of ``min(workers, n_chunks)`` processes.
+
+        Disabled (``run_chunks`` stays in-thread) below two processes;
+        a crash retries once on a fresh pool (:data:`RETRY_ONCE`).
+        """
+        size = min(workers or 0, n_chunks)
+        return PoolSupervisor(size if size > 1 else 0, RETRY_ONCE, self.metrics)
+
     def optimize_many(
         self,
         jobs: Iterable[Job],
@@ -722,90 +828,58 @@ class Session:
     ) -> List[RunRecord]:
         """Optimize a batch of jobs, optionally across worker processes.
 
-        ``workers`` at ``None``/``0``/``1`` runs the plain serial loop
-        (sharing every session cache).  Higher values fan the jobs out to
-        a supervised process pool seeded with this session's library and
-        (already characterised) Flimit table: a worker crash re-runs the
-        batch once on a fresh pool, and a second crash or an environment
-        without subprocesses falls back to the serial loop, counted on
-        :attr:`metrics`.  Record payloads are byte-identical between the
-        two paths; only the timing metadata differs.
+        One :meth:`run_chunks` chunk per job.  ``workers`` at
+        ``None``/``0``/``1`` runs them in this thread (sharing every
+        session cache).  Higher values fan them out to a supervised
+        process pool seeded with this session's library and (already
+        characterised) Flimit table: a worker crash re-runs the
+        undelivered jobs once on a fresh pool, and a second crash or an
+        environment without subprocesses runs the rest in-thread, counted
+        on :attr:`metrics`.  Records come back in job order, payloads
+        byte-identical between the two paths; only the timing metadata
+        differs.
         """
         job_list = list(jobs)
         for job in job_list:
             if not isinstance(job, Job):
                 raise JobError(f"optimize_many expects Job instances, got {job!r}")
-        # Stamp the backend identity up front so the serial loop and the
-        # pool path ship (and echo) byte-identical job dicts.
-        job_list = [self._prepare_job(job) for job in job_list]
-        if workers and workers > 1 and len(job_list) > 1:
-            tasks = [
-                (self._library, self.flimits(), self.bench_dir, job.to_dict())
-                for job in job_list
-            ]
-
-            def on_pool(pool: Any) -> List[Dict]:
-                futures = [pool.submit(_optimize_job_worker, t) for t in tasks]
-                return [future.result() for future in futures]
-
-            try:
-                with PoolSupervisor(
-                    min(workers, len(job_list)), RETRY_ONCE, self.metrics
-                ) as supervisor:
-                    outcomes = supervisor.run(on_pool)
-            except PoolUnavailable:
-                pass
-            else:
-                # Workers marshal job failures back, so a job's own
-                # OSError never looks like a transport failure.
-                for outcome in outcomes:
-                    if JOB_ERROR_KEY in outcome:
-                        raise outcome[JOB_ERROR_KEY]
-                self.metrics.inc("jobs_run", len(outcomes))
-                return [
-                    RunRecord.from_dict(d, library=self._library)
-                    for d in outcomes
-                ]
-        return [self.optimize(job) for job in job_list]
+        records: Dict[int, RunRecord] = {}
+        with self._batch_supervisor(workers, len(job_list)) as supervisor:
+            self.run_chunks(
+                [[job] for job in job_list], records.__setitem__, supervisor
+            )
+        return [records[index] for index in range(len(job_list))]
 
 
-#: Sentinel key a worker uses to marshal a job failure back to the parent,
-#: so that a job's own exception is never mistaken for pool breakage.
-#: Shared by every process-pool worker over sessions: the batch runner's
-#: and the serve executor's (:func:`_optimize_job_worker`) and the sweep
-#: runner's chunk worker in :mod:`repro.explore`.
+#: Key under which :func:`_chunk_worker` marshals a job failure back to
+#: the parent, so that a job's own exception is never mistaken for pool
+#: breakage.
 JOB_ERROR_KEY = "__pops_job_error__"
 
 
-def worker_session(
-    library: Library, limits: Dict, bench_dir: Optional[str]
-) -> Session:
-    """A fresh worker-side session seeded with the parent's Flimit table.
+def _chunk_worker(
+    task: Tuple[Library, Dict, Optional[str], List[Dict]],
+) -> List[Dict]:
+    """Process-pool entry: run one chunk in a fresh session, return dicts.
 
-    The one supported way for pool workers to avoid re-characterising:
-    the parent ships its (already computed) limits along with the
-    library, and the worker session starts with them installed.
+    The parent's Flimit table is installed so workers never
+    re-characterise; the chunk runs in :meth:`Session.run_chunks`'s own
+    in-thread loop, and its records cross the process boundary in
+    serialized form, which is also what pins them byte-identical to the
+    parent's in-thread path.  A job's own exception ends the chunk and is
+    marshalled under :data:`JOB_ERROR_KEY` rather than raised, so the
+    parent can tell it apart from pool breakage.
     """
+    library, limits, bench_dir, job_dicts = task
+    faults.maybe_crash(faults.SITE_WORKER_CRASH)
     session = Session(library=library, bench_dir=bench_dir)
     session._flimits = limits
-    return session
-
-
-def _optimize_job_worker(task: Tuple[Library, Dict, Optional[str], Dict]) -> Dict:
-    """Process-pool entry: run one job in a fresh session, return a dict.
-
-    The parent's Flimit table is injected so workers never re-characterise;
-    the record crosses the process boundary in serialized form, which is
-    also what pins the byte-identical-payload guarantee.  Exceptions from
-    the job itself are marshalled rather than raised so the parent can
-    tell them apart from pool breakage.
-    """
-    library, limits, bench_dir, job_dict = task
-    from repro.resilience import faults
-
-    faults.maybe_crash(faults.SITE_WORKER_CRASH)
-    session = worker_session(library, limits, bench_dir)
+    out: List[Dict] = []
     try:
-        return session.optimize(Job.from_dict(job_dict)).to_dict()
+        session.run_chunks(
+            [[Job.from_dict(data) for data in job_dicts]],
+            lambda _, record: out.append(record.to_dict()),
+        )
     except Exception as exc:
-        return {JOB_ERROR_KEY: exc}
+        out.append({JOB_ERROR_KEY: exc})
+    return out

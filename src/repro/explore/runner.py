@@ -13,13 +13,13 @@ payload byte (the determinism tests compare warm against cold runs):
   and each point's incremental STA engine is a copy of the session's
   cached engine of the shared starting state, so it starts without
   re-timing anything;
-* a chunked scheduler -- benchmark groups are independent, so they can
-  fan out over a process pool, one warm chunk per worker, under the
-  same :class:`~repro.resilience.pool.PoolSupervisor` contract as
-  :meth:`~repro.api.session.Session.optimize_many`: a worker crash
-  re-runs the undelivered chunks once on a fresh pool, and a second
-  crash or an environment without subprocesses finishes the sweep
-  serially, with byte-identical payloads either way.
+* chunks -- benchmark groups are independent, so ``run_sweep`` hands
+  them (optionally split to ``chunk_size`` points) to the session's one
+  job runner, :meth:`~repro.api.session.Session.run_chunks`, which can
+  fan them out over a process pool, one warm chunk per task: a worker
+  crash re-runs the undelivered chunks once on a fresh pool, and a
+  second crash or an environment without subprocesses finishes the
+  sweep in-thread, with byte-identical payloads either way.
 
 With a :class:`~repro.explore.store.CampaignStore`, every completed
 point's record is filed in the campaign's record store immediately, and
@@ -31,25 +31,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.activity import ActivityReport, estimate_activity
 from repro.analysis.power import estimate_power
 from repro.api.job import Job, SweepSpec
 from repro.api.records import KIND_OPTIMIZE_CIRCUIT, KIND_SWEEP, RunRecord
-from repro.api.session import (
-    JOB_ERROR_KEY,
-    Session,
-    worker_session,
-)
-from repro.resilience import faults
-from repro.resilience.policy import checkpoint, current_token
-from repro.resilience.pool import RETRY_ONCE, PoolSupervisor, PoolUnavailable
-from repro.cells.library import Library
+from repro.api.session import Session
 from repro.explore.store import CampaignError, CampaignStore
 from repro.explore.summary import SweepSummary, summarize
 from repro.obs.trace import Stopwatch
-from repro.protocol.optimizer import WarmStart
 
 #: Vector count for the summary's power estimates (matches Job default).
 POWER_VECTORS = 128
@@ -131,101 +122,6 @@ def _chunks(jobs: Sequence[Job], chunk_size: Optional[int]) -> List[List[Job]]:
         for start in range(0, len(group), chunk_size):
             out.append(group[start : start + chunk_size])
     return out
-
-
-def _run_chunk(
-    session: Session,
-    jobs: Sequence[Job],
-    after_point: Optional[Callable[[Job, RunRecord], None]] = None,
-) -> List[RunRecord]:
-    """Run one chunk serially with a fresh warm-start carry."""
-    warm = WarmStart()
-    records = []
-    for job in jobs:
-        checkpoint()
-        with session.tracer.span(
-            "sweep.point", label=job.label or job.name
-        ) as point_span:
-            record = session.optimize(job, warm=warm)
-            point_span.set(elapsed_s=float(record.elapsed_s))
-        if after_point is not None:
-            after_point(job, record)
-        records.append(record)
-    return records
-
-
-def _sweep_chunk_worker(
-    task: Tuple[Library, Dict, Optional[str], List[Dict]],
-) -> List[Dict]:
-    """Process-pool entry: run one warm chunk in a fresh session.
-
-    Mirrors the batch runner's worker: the parent's Flimit table rides
-    along so workers never re-characterise, records cross the process
-    boundary serialized (which pins byte identity with the serial path),
-    and job failures are marshalled -- distinguishable from pool
-    breakage, which surfaces as the pool exception itself.
-    """
-    library, limits, bench_dir, job_dicts = task
-    faults.maybe_crash(faults.SITE_WORKER_CRASH)
-    session = worker_session(library, limits, bench_dir)
-    warm = WarmStart()
-    out: List[Dict] = []
-    for job_dict in job_dicts:
-        try:
-            record = session.optimize(Job.from_dict(job_dict), warm=warm)
-        except Exception as exc:  # marshalled, re-raised by the parent
-            out.append({JOB_ERROR_KEY: exc})
-            break
-        out.append(record.to_dict())
-    return out
-
-
-def _parallel_chunks(
-    session: Session,
-    pool: Any,
-    chunks: List[List[Job]],
-    on_chunk: Callable[[int, List[RunRecord]], None],
-) -> Optional[BaseException]:
-    """Fan warm chunks out to ``pool``, streaming completions.
-
-    ``on_chunk(chunk_index, records)`` fires as each chunk finishes --
-    that call is the store's commit point, so completed points hit
-    the campaign store without waiting for slower chunks.  A chunk that
-    failed partway still delivers its completed prefix.  The job error
-    of the lowest failed chunk index is *returned* once every chunk has
-    been drained (and stored): the serial loop would have raised that
-    one, and returning it keeps a job's own ``OSError`` apart from the
-    pool breakage that propagates from here to the supervisor.  A
-    stopped job raises here at once; delivered chunks stay stored.
-    """
-    limits = session.flimits()
-    errors: Dict[int, BaseException] = {}
-    futures = {
-        pool.submit(
-            _sweep_chunk_worker,
-            (
-                session.library,
-                limits,
-                session.bench_dir,
-                [job.to_dict() for job in chunk],
-            ),
-        ): index
-        for index, chunk in enumerate(chunks)
-    }
-    pending = set(futures)
-    while pending:
-        for future in current_token().wait(pending):
-            pending.discard(future)
-            outcome = future.result()  # pool breakage raises here
-            records: List[RunRecord] = []
-            for entry in outcome:
-                if JOB_ERROR_KEY in entry:
-                    errors[futures[future]] = entry[JOB_ERROR_KEY]
-                    break
-                records.append(RunRecord.from_dict(entry, library=session.library))
-            on_chunk(futures[future], records)
-            session.metrics.inc("jobs_run", len(records))
-    return errors[min(errors)] if errors else None
 
 
 def _yield_for(
@@ -328,56 +224,24 @@ def run_sweep(
                 "continue it, or use a fresh directory"
             )
 
-    pending = [job for job in jobs if job.label not in done_records]
-    total = len(jobs)
-    reported = {"n": len(done_records)}
-
-    def after_point(job: Job, record: RunRecord) -> None:
-        if store is not None:
-            store.append(job, record)
-        reported["n"] += 1
-        if progress is not None:
-            progress(reported["n"], total, job.label or job.name)
-
+    pending = [job for job in jobs if job.name not in done_records]
     fresh: Dict[str, RunRecord] = {}
 
-    def remaining() -> List[Job]:
-        return [job for job in pending if (job.label or job.name) not in fresh]
+    def on_record(index: int, record: RunRecord) -> None:
+        job = pending[index]
+        if store is not None:
+            store.append(job, record)
+        fresh[job.name] = record
+        if progress is not None:
+            progress(len(done_records) + len(fresh), len(jobs), job.name)
 
-    def on_pool(pool: Any) -> Optional[BaseException]:
-        # Called again on a fresh pool after a crash: delivered chunks
-        # are stored already, so only the remainder re-runs.
-        todo = _chunks(remaining(), chunk_size)
-
-        def on_chunk(index: int, records: List[RunRecord]) -> None:
-            for job, record in zip(todo[index], records):
-                after_point(job, record)
-                fresh[job.label or job.name] = record
-
-        return _parallel_chunks(session, pool, todo, on_chunk)
-
-    n_chunks = len(_chunks(pending, chunk_size))
-    if workers and workers > 1 and n_chunks > 1:
-        try:
-            with PoolSupervisor(
-                min(workers, n_chunks), RETRY_ONCE, session.metrics
-            ) as supervisor:
-                error = supervisor.run(on_pool)
-        except PoolUnavailable:
-            pass  # the serial loop below finishes the remainder
-        else:
-            if error is not None:
-                # Completed points are stored; resume picks up here.
-                raise error
-    for chunk in _chunks(remaining(), chunk_size):
-        for record in _run_chunk(session, chunk, after_point=after_point):
-            fresh[record.job.label or record.job.name] = record
-
-    ordered: List[RunRecord] = []
-    for job in jobs:
-        record = fresh.get(job.label) or done_records.get(job.label)
-        assert record is not None  # every job was run or resumed
-        ordered.append(record)
+    chunks = _chunks(pending, chunk_size)
+    with session._batch_supervisor(workers, len(chunks)) as supervisor:
+        # Completed points are stored as they arrive; on a job error the
+        # runner raises once they are, and a resume picks up there.
+        session.run_chunks(chunks, on_record, supervisor)
+    by_label = {**done_records, **fresh}
+    ordered = [by_label[job.name] for job in jobs]
 
     power_by_label: Dict[str, Optional[float]] = {}
     if with_power:

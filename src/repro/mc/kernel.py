@@ -30,7 +30,7 @@ never a different arrival/transition value, so the annotations agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -179,16 +179,6 @@ class BatchStaResult:
         """Worst arrival per primary output, ``(n_outputs, n_samples)``."""
         rows = self.compiled.output_rows
         return np.maximum(self.time_rise[rows], self.time_fall[rows])
-
-    def endpoint_yields(self, tc_ps: float) -> Dict[str, float]:
-        """Per-endpoint fraction of corners meeting ``tc_ps``."""
-        if tc_ps <= 0:
-            raise ValueError("tc_ps must be positive")
-        worst = self.endpoint_arrivals()
-        return {
-            net: float(np.mean(worst[i] <= tc_ps))
-            for i, net in enumerate(self.compiled.output_names)
-        }
 
     def yield_at(self, tc_ps: float) -> float:
         """Fraction of corners whose critical delay meets ``tc_ps``."""

@@ -18,7 +18,7 @@ records simply have no telemetry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 
 @dataclass
@@ -161,10 +161,3 @@ class OptimizerTelemetry:
             rolled_back_passes=int(data.get("rolled_back_passes", 0)),
             rescue=dict(data.get("rescue") or {"attempted": False}),
         )
-
-
-def telemetry_block(telemetry: Optional[OptimizerTelemetry]) -> Optional[Dict[str, Any]]:
-    """The envelope block for a result's telemetry (``None`` passes through)."""
-    if telemetry is None:
-        return None
-    return telemetry.as_dict()

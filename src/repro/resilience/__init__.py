@@ -1,7 +1,7 @@
 """``repro.resilience``: fault tolerance for the serving stack.
 
-Stdlib-only building blocks threaded through serve, the Session batch
-runner and the explore sweep runner:
+Stdlib-only building blocks threaded through serve and the Session job
+runner (``Session.run_chunks``: batches, sweeps, served optimize jobs):
 
 * :class:`~repro.resilience.policy.RetryPolicy` -- bounded attempts,
   exponential backoff, deterministic seeded jitter; shared by pool
@@ -13,8 +13,8 @@ runner and the explore sweep runner:
   failures and half-open-probes recovery;
 * :class:`~repro.resilience.pool.PoolSupervisor` -- the one process-pool
   supervisor (crash retry, permanent disable, in-thread give-up via
-  :class:`~repro.resilience.pool.PoolUnavailable`) behind serve, the
-  batch runner and the sweep runner;
+  :class:`~repro.resilience.pool.PoolUnavailable`) behind the job
+  runner's pools;
 * :mod:`~repro.resilience.faults` -- the deterministic fault-injection
   harness (:class:`~repro.resilience.faults.FaultPlan`, named sites,
   ``POPS_FAULT_PLAN`` env hook) every chaos test drives.

@@ -11,8 +11,9 @@ Sites wired into the stack:
 
 ========================  ====================================================
 :data:`SITE_WORKER_CRASH`  process-pool worker calls ``os._exit`` mid-job
-                           (:func:`repro.api.session._optimize_job_worker`,
-                           the sweep chunk worker) -- the parent observes
+                           (:func:`repro.api.session._chunk_worker`, the
+                           one worker entry of batches, sweeps and served
+                           optimize jobs) -- the parent observes
                            ``BrokenProcessPool``
 :data:`SITE_POOL_BROKEN`   :class:`InlinePool` (the in-process pool double)
                            raises ``BrokenProcessPool`` from ``submit``

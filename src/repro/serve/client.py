@@ -214,25 +214,6 @@ class ServeClient:
             spec = spec.to_dict()
         return job_spec_key(kind, spec)
 
-    def submit_events(
-        self,
-        kind: str,
-        spec: Union[Job, SweepSpec, Dict[str, Any]],
-        priority: int = 0,
-        no_cache: bool = False,
-        timeout_s: Optional[float] = None,
-    ) -> Iterator[Dict[str, Any]]:
-        """Submit one job; yield the raw event stream as it arrives.
-
-        ``timeout_s`` here is the *job deadline* enforced server-side
-        (the constructor's ``timeout_s`` is the socket timeout).  The
-        raw stream does not reconnect -- resume-on-drop lives in
-        :meth:`submit`.
-        """
-        return self.request(
-            self._submit_message(kind, spec, priority, no_cache, timeout_s)
-        )
-
     def _submit_message(
         self,
         kind: str,

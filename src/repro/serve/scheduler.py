@@ -9,12 +9,13 @@ run every submit kind against the shared session:
   circuits, batch kernels) and release the GIL into numpy for the heavy
   part, so threads are the right grain;
 * **heavy pool** (optionally escalating to a process pool):
-  ``optimize`` and ``sweep``, the CPU-bound protocol runs.  With
-  ``procs > 0`` single optimizations ship to the executor's supervised
-  process pool via the same worker entry
-  (:func:`repro.api.session._optimize_job_worker`) the batch runner
-  uses -- byte-identical records are the established contract -- and
-  sweeps fan their chunks out through ``run_sweep``'s own per-call pool.
+  ``optimize`` and ``sweep``, the CPU-bound protocol runs.  An optimize
+  job is a one-job chunk of the session's one job runner
+  (:meth:`repro.api.session.Session.run_chunks`); with ``procs > 0`` it
+  runs on the executor's supervised process pool through the runner's
+  one worker entry, the one batches and sweeps use -- byte-identical
+  records are the established contract.  Sweeps fan their chunks out
+  through ``run_sweep``'s own per-call pool.
 
 The executor is also where the resilience layer lives (see the
 "Resilience" section of ``docs/ARCHITECTURE.md``):
@@ -50,18 +51,14 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.api.job import Job, SweepSpec
-from repro.api.session import (
-    JOB_ERROR_KEY,
-    Session,
-    _optimize_job_worker,
-)
+from repro.api.records import RunRecord
+from repro.api.session import Session
 from repro.resilience import CancelToken, CircuitBreaker, JobTimeoutError
 from repro.resilience import RetryPolicy, faults
-from repro.resilience.policy import current_token
-from repro.resilience.pool import PoolFactory, PoolSupervisor, PoolUnavailable
+from repro.resilience.pool import PoolFactory, PoolSupervisor
 from repro.serve.protocol import ProtocolError
 
 log = logging.getLogger("repro.serve")
@@ -196,38 +193,20 @@ class JobExecutor:
         raise ProtocolError(f"unsupported submit kind {kind!r}")
 
     def _run_optimize(self, job: Job) -> Dict[str, Any]:
-        """One optimization: on the supervised process pool, else in-thread.
+        """One optimization: a one-job chunk of :meth:`Session.run_chunks`.
 
-        :attr:`supervisor` retries worker crashes under :attr:`retry`,
-        feeds :attr:`breaker` and disables the pool for good on
-        transport errors; when it gives up, the job runs in-thread
-        (same record, by contract), and a stopped job stops waiting.
+        It runs on :attr:`supervisor`'s process pool, which retries
+        worker crashes under :attr:`retry`, feeds :attr:`breaker` and
+        disables the pool for good on transport errors; when the
+        supervisor gives up, the job runs in-thread (same record, by
+        contract).  Either way it runs under its own eq. 4 memo, and a
+        stopped job stops waiting on the pool.
         """
-
-        def on_pool(pool: Any) -> Dict[str, Any]:
-            task = (
-                self.session.library,
-                self.session.flimits(),
-                self.session.bench_dir,
-                job.to_dict(),
-            )
-            future = pool.submit(_optimize_job_worker, task)
-            while not future.done():
-                current_token().wait([future])
-            return future.result()
-
-        try:
-            outcome = self.supervisor.run(on_pool)
-        except PoolUnavailable:
-            outcome = None
-        if outcome is None:
-            # Outside the handler, so that a job error raised here does
-            # not chain to PoolUnavailable.
-            return self.session.optimize(job).to_dict()
-        if JOB_ERROR_KEY in outcome:
-            raise outcome[JOB_ERROR_KEY]
-        self.session.metrics.inc("jobs_run")
-        return outcome
+        records: List[RunRecord] = []
+        self.session.run_chunks(
+            [[job]], lambda _, record: records.append(record), self.supervisor
+        )
+        return records[0].to_dict()
 
     def _run_sweep(
         self, spec: SweepSpec, progress: Optional[EventFn]

@@ -9,7 +9,8 @@ Model
 * Each gate is reduced to its switching arc: the on-path transistor pair
   with series stacks folded into effective widths (``W / stack``), side
   inputs held at their non-controlling values.  Composite cells (BUF,
-  AND, OR, XOR) are expanded into their inverting primitive stages first.
+  AND, OR, XOR, XNOR) are expanded into their inverting primitive stages
+  first.
 * Devices follow the Sakurai--Newton alpha-power law
   (:mod:`repro.process.transistor`), evaluated vectorised over all nodes.
 * Node dynamics include the gate input/output coupling capacitance
@@ -97,9 +98,10 @@ _COMPOSITE_EXPANSION = {
     GateKind.OR2: (GateKind.NOR2, GateKind.INV),
     GateKind.OR3: (GateKind.NOR3, GateKind.INV),
     GateKind.OR4: (GateKind.NOR4, GateKind.INV),
-    # XOR/XNOR switching arc: two NAND-like stages.
+    # XOR switching arc: two NAND-like stages (non-inverting with the
+    # side input low); XNOR is that arc plus an output inverter.
     GateKind.XOR2: (GateKind.NAND2, GateKind.NAND2),
-    GateKind.XNOR2: (GateKind.NAND2, GateKind.NAND2),
+    GateKind.XNOR2: (GateKind.NAND2, GateKind.NAND2, GateKind.INV),
 }
 
 
@@ -111,17 +113,15 @@ def _expand_stages(
     expanded: List[Tuple[Cell, float, float]] = []
     stage_map: List[int] = []
     for stage, cin in zip(path.stages, sizes):
-        kind = stage.cell.kind
-        if kind in _COMPOSITE_EXPANSION:
-            first_kind, second_kind = _COMPOSITE_EXPANSION[kind]
-            first = library.cell(first_kind)
-            second = library.cell(second_kind)
-            # Internal stage sized like the input stage: the usual
-            # composite-cell layout choice.
-            expanded.append((first, cin, 0.0))
-            expanded.append((second, cin, stage.cside_ff))
-        else:
+        kinds = _COMPOSITE_EXPANSION.get(stage.cell.kind)
+        if kinds is None:
             expanded.append((stage.cell, cin, stage.cside_ff))
+        else:
+            # Internal stages sized like the input stage: the usual
+            # composite-cell layout choice.
+            for kind in kinds[:-1]:
+                expanded.append((library.cell(kind), cin, 0.0))
+            expanded.append((library.cell(kinds[-1]), cin, stage.cside_ff))
         stage_map.append(len(expanded) - 1)
     return expanded, tuple(stage_map)
 

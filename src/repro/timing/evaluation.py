@@ -341,6 +341,9 @@ def _backend_evaluate_path(
     touts: List[float] = []
     loads_total: List[float] = []
     edges: List[Edge] = []
+    # A running total, as in :func:`_backend_path_delay`: builtin ``sum``
+    # of floats is compensated from Python 3.12 and would differ.
+    total = 0.0
     tin = path.tin_first_ps
     edge = path.input_edge
     for i in range(n):
@@ -350,6 +353,7 @@ def _backend_evaluate_path(
         timing = backend.gate_timing(
             stage.cell, tech, float(arr[i]), float(ext), tin, edge
         )
+        total += timing.delay_ps
         delays.append(timing.delay_ps)
         touts.append(timing.tout_ps)
         loads_total.append(stage.cell.parasitic_cap(float(arr[i])) + float(ext))
@@ -357,7 +361,7 @@ def _backend_evaluate_path(
         tin = timing.tout_ps
         edge = timing.output_edge
     return PathTiming(
-        total_delay_ps=float(sum(delays)),
+        total_delay_ps=float(total),
         stage_delays_ps=tuple(delays),
         stage_tout_ps=tuple(touts),
         stage_loads_ff=tuple(loads_total),

@@ -341,33 +341,66 @@ class TestOneEnginePerJob:
         assert got == expected
 
 
+@pytest.fixture()
+def tmin_solves(monkeypatch):
+    """Spy on every eq. 4 solve of a job.
+
+    Each call appends ``(key, memo_active, solved)``: the memo key
+    (polish flag, path fingerprint; ``None`` for a call the memo does not
+    serve, such as one with start sizes or frozen gates), whether a
+    ``tmin_memo`` was active, and whether the call solved -- no memo, or
+    a miss that grew it.
+    """
+    import repro.protocol.optimizer as optimizer
+    import repro.restructuring.demorgan as demorgan
+    import repro.sizing.sensitivity as sensitivity
+    from repro.sizing import bounds
+
+    real = bounds.min_delay_bound
+    calls = []
+
+    def spy(path, library, *args, **kwargs):
+        memo = bounds._ACTIVE_TMIN_MEMO.get()
+        before = None if memo is None else len(memo)
+        result = real(path, library, *args, **kwargs)
+        key = None
+        if not args and kwargs.get("cref_ff") is None and set(kwargs) <= {
+            "cref_ff", "polish"
+        }:
+            key = (kwargs.get("polish", True), path.fingerprint())
+        calls.append((key, memo is not None, memo is None or len(memo) > before))
+        return result
+
+    for module in (bounds, optimizer, sensitivity, insertion, demorgan):
+        monkeypatch.setattr(module, "min_delay_bound", spy)
+    return calls
+
+
 class TestOneTminSolvePerPath:
-    def test_first_sweep_point_solves_each_path_once(self, monkeypatch):
+    def _assert_one_solve_per_path(self, calls):
+        assert all(active for _, active, _ in calls), (
+            "eq. 4 solved outside the job's memo"
+        )
+        eligible = [(key, solved) for key, _, solved in calls if key is not None]
+        paths = {key for key, _ in eligible}
+        assert sum(solved for _, solved in eligible) == len(paths)
+        assert len(eligible) > len(paths)  # the memo served repeats
+
+    def test_first_sweep_point_solves_each_path_once(self, tmin_solves):
         """The delay-bounds solve shares the warm memo with the first pass."""
-        import repro.protocol.optimizer as optimizer
-        import repro.restructuring.demorgan as demorgan
-        import repro.sizing.sensitivity as sensitivity
         from repro.protocol.optimizer import WarmStart
-        from repro.sizing import bounds
 
-        real = bounds.min_delay_bound
-        eligible_paths = set()
-        misses = []
-
-        def spy(path, library, *args, **kwargs):
-            memo = bounds._ACTIVE_TMIN_MEMO.get()
-            assert memo is not None, "eq. 4 solved outside the sweep's memo"
-            before = len(memo)
-            result = real(path, library, *args, **kwargs)
-            if not args and kwargs.get("cref_ff") is None and set(kwargs) <= {
-                "cref_ff", "polish"
-            }:
-                eligible_paths.add((kwargs.get("polish", True), path.fingerprint()))
-                misses.append(len(memo) - before)
-            return result
-
-        for module in (bounds, optimizer, sensitivity, insertion, demorgan):
-            monkeypatch.setattr(module, "min_delay_bound", spy)
         Session().optimize(C432_JOB, warm=WarmStart())
-        assert sum(misses) == len(eligible_paths)
-        assert len(misses) > len(eligible_paths)  # the memo served repeats
+        self._assert_one_solve_per_path(tmin_solves)
+
+    def test_served_circuit_job_solves_each_path_once(self, tmin_solves):
+        """A served job runs under its own eq. 4 memo, as a sweep point."""
+        from repro.serve.scheduler import JobExecutor
+
+        job = Job(benchmark="c432", tc_ratio=1.3, scope="circuit")
+        executor = JobExecutor(Session(), threads=1, heavy_threads=1)
+        try:
+            executor.run("optimize", job.to_dict())
+        finally:
+            executor.shutdown()
+        self._assert_one_solve_per_path(tmin_solves)

@@ -237,3 +237,22 @@ class TestSessionBackendIdentity:
         assert back.to_dict(with_timing=False) == record.to_dict(
             with_timing=False
         )
+
+
+class TestPathTotals:
+    @pytest.mark.parametrize(
+        "name", ("fpd", "c432", "c880", "c1908", "c7552", "adder16")
+    )
+    def test_evaluate_path_total_equals_path_delay(self, name, nldm_lib):
+        """Both path evaluators keep a running total: builtin ``sum`` of
+        floats is compensated from Python 3.12 and would differ."""
+        from repro.iscas.loader import load_benchmark
+        from repro.timing.critical_paths import critical_path
+        from repro.timing.evaluation import evaluate_path, path_delay_ps
+
+        path = critical_path(load_benchmark(name), nldm_lib).path
+        for scale in (1.0, 1.7, 2.9, 4.3):
+            sizes = path.min_sizes(nldm_lib) * scale
+            sizes[0] = path.cin_first_ff
+            timing = evaluate_path(path, sizes, nldm_lib)
+            assert timing.total_delay_ps == path_delay_ps(path, sizes, nldm_lib)

@@ -562,6 +562,31 @@ class TestPoolSupervision:
         finally:
             executor.shutdown(wait=False)
 
+    def test_pool_record_names_the_sessions_liberty(self):
+        # Jobs ship stamped: a pool worker's session has no .lib path of
+        # its own, so an unstamped NLDM job echoed ``liberty: None``
+        # there while the in-thread record named the file.
+        import os
+
+        liberty = os.path.join(
+            os.path.dirname(__file__), "..", "examples", "sample_nldm.lib"
+        )
+        session = Session(backend="nldm", liberty=liberty)
+        payload = Job(benchmark="fpd", tc_ratio=3.0).to_dict()
+        in_thread = JobExecutor(session, threads=1, heavy_threads=1)
+        pooled = JobExecutor(
+            session, threads=1, heavy_threads=1, procs=1,
+            retry=_fast_retry(), pool_factory=InlinePool,
+        )
+        try:
+            expected = in_thread.run("optimize", payload)
+            record = pooled.run("optimize", payload)
+        finally:
+            in_thread.shutdown(wait=False)
+            pooled.shutdown(wait=False)
+        assert record["job"]["liberty"] == liberty
+        assert _strip_timing(record) == _strip_timing(expected)
+
     def test_breaker_trips_to_in_thread_and_recovers(self):
         session = Session()
         job = Job(benchmark="fpd", tc_ratio=1.4)
@@ -760,6 +785,74 @@ class TestBatchSupervision:
         assert counters["resilience.retries"] == 1
         assert "resilience.fallbacks" not in counters
 
+    def test_crash_reruns_only_the_undelivered_job(
+        self, pool_builds, monkeypatch
+    ):
+        # Job "a" completes on the pool, then job "b"'s future breaks:
+        # the retry on a fresh pool runs "b" alone.
+        serial = [r.to_dict() for r in Session().optimize_many(self._jobs())]
+        ran = []
+        real = Session.optimize
+
+        def counting(self, job, warm=None):
+            ran.append(job.label)
+            return real(self, job, warm=warm)
+
+        monkeypatch.setattr(Session, "optimize", counting)
+        session = Session()
+        plan = FaultPlan(
+            [FaultSpec(faults.SITE_POOL_BROKEN, after=1, times=1)]
+        )
+        with faults.installed(plan):
+            records = session.optimize_many(self._jobs(), workers=2)
+        assert ran == ["a", "b"]
+        assert len(pool_builds) == 2
+        assert [
+            _strip_timing(r.to_dict()) for r in records
+        ] == [_strip_timing(d) for d in serial]
+        counters = _counters(session)
+        assert counters["resilience.pool_broken"] == 1
+        assert counters["resilience.retries"] == 1
+        assert counters["jobs_run"] == 2
+
+    def test_pool_wait_stops_with_the_running_job(self, monkeypatch):
+        # A batch inside a stopped job stops waiting on its workers and
+        # discards the pool instead of waiting on it.
+        from repro.resilience import pool as pool_mod
+
+        shut_down = []
+
+        class HangingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                return Future()  # a worker that never answers
+
+            def shutdown(self, wait=True, **_):
+                shut_down.append(wait)
+
+        monkeypatch.setattr(pool_mod, "default_pool_factory", HangingPool)
+        session = Session()
+        token = CancelToken()
+        raised = []
+
+        def batch():
+            with token.running(None):
+                try:
+                    session.optimize_many(self._jobs(), workers=2)
+                except JobCancelledError as exc:
+                    raised.append(exc)
+
+        thread = threading.Thread(target=batch, daemon=True)
+        thread.start()
+        time.sleep(0.2)
+        token.stop("cancelled by test")
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert len(raised) == 1
+        assert shut_down[0] is False  # discarded, not awaited
+
     def test_broken_pool_twice_falls_back_serial(self, pool_builds):
         session = Session()
         serial = [r.to_dict() for r in Session().optimize_many(self._jobs())]
@@ -817,6 +910,41 @@ class TestSweepSupervision:
         assert counters["resilience.pool_broken"] == 2  # first try + one retry
         assert counters["resilience.retries"] == 1
         assert counters["resilience.fallbacks"] == 1
+
+    def test_store_write_error_is_raised_not_blamed_on_the_pool(
+        self, pool_builds, monkeypatch, tmp_path
+    ):
+        # Filing the first pooled point fails once: the sweep raises that
+        # OSError, the pool is not disabled, and a resume completes it.
+        from repro.explore import CampaignStore, run_sweep
+
+        reference = run_sweep(Session(), self._spec())
+        real = CampaignStore.append
+        failures = []
+
+        def flaky(self, job, record):
+            if not failures:
+                failures.append(job.name)
+                raise OSError("disk full")
+            real(self, job, record)
+
+        monkeypatch.setattr(CampaignStore, "append", flaky)
+        session = Session()
+        store = str(tmp_path / "campaign")
+        with pytest.raises(OSError, match="disk full"):
+            run_sweep(session, self._spec(), store=store, workers=2, chunk_size=1)
+        counters = _counters(session)
+        assert "resilience.pool_disabled" not in counters
+        assert "resilience.fallbacks" not in counters
+        assert len(pool_builds) == 1
+        result = run_sweep(
+            session, self._spec(), store=store, resume=True, workers=2,
+            chunk_size=1,
+        )
+        assert [
+            _strip_timing(r.to_dict()) for r in result.records
+        ] == [_strip_timing(r.to_dict()) for r in reference.records]
+        assert "resilience.pool_disabled" not in _counters(session)
 
     def test_transport_error_finishes_serially_without_retry(
         self, monkeypatch

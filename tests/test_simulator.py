@@ -73,6 +73,20 @@ class TestChains:
         # Rising input, non-inverting output: final node ends high.
         assert result.node_volts[-1][-1] == pytest.approx(lib.tech.vdd, abs=0.1)
 
+    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+    def test_every_kind_switches_between_inverters(self, lib, kind):
+        # The expanded chain must produce the output edge the timing
+        # model's polarity (``is_inverting``) predicts at every stage.
+        path = make_path([GateKind.INV, kind, GateKind.INV], lib)
+        result = simulate_path(path, path.min_sizes(lib), lib, options=FAST)
+        assert all(d > 0 for d in result.stage_delays_ps)
+        assert result.path_delay_ps > 0
+
+    def test_xnor2_simulated_flimit_is_finite(self, lib):
+        from repro.buffering.flimit import flimit_simulated
+
+        assert np.isfinite(flimit_simulated(lib, GateKind.XNOR2))
+
     def test_shape_validated(self, lib):
         path = make_path([GateKind.INV, GateKind.INV], lib)
         with pytest.raises(ValueError):
